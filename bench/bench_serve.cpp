@@ -128,9 +128,13 @@ int main(int argc, char** argv) {
       serve::Server server(opt);
       std::vector<serve::Request> stream;
       for (usize i = 0; i < 8 * std::size(kInputs); ++i) {
+        // GCC 12 reports a false -Wrestrict positive inside std::string here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
         stream.push_back(make_request(
             "s" + std::to_string(i), algos[i % std::size(algos)],
             kInputs[i % std::size(kInputs)], ctx.scale));
+#pragma GCC diagnostic pop
       }
       server.serve(stream);  // warm-up round: populate the pool
 

@@ -5,13 +5,14 @@
 // sorting. Sorted adjacency matters to the algorithms: ECL-CC's init
 // heuristic relies on the smallest neighbor appearing first (paper §6.1.3).
 //
-// Assembly is host-parallel: above a size threshold, build() replaces the
-// global O(E log E) sort with a three-phase pipeline on the build pool
-// (histogram → prefix-sum → stable scatter, then per-adjacency sort; see
-// docs/INGEST.md). The output is bit-identical to the serial path at any
-// thread count — the sorted adjacency the algorithms rely on is preserved
-// exactly, and tests/ingest_test.cpp pins the byte identity for the whole
-// input suite. Thread count: ECLP_BUILD_THREADS / eclp::set_build_threads
+// build() is a thin adapter: it serves the staged edge list as a chunk
+// source to build_from_chunks (graph/stream_build.hpp), the one CSR
+// assembly pipeline (histogram -> prefix sum -> stable scatter, then a
+// per-row sort; see docs/INGEST.md). The output equals one global stable
+// sort by (src, dst) over the originals followed by their mirrors, with
+// keep-first dedupe, and is byte-identical at any thread count;
+// tests/ingest_test.cpp pins it against an independent reference. Thread
+// count: ECLP_BUILD_THREADS / eclp::set_build_threads
 // (support/parallel_for.hpp).
 #pragma once
 
@@ -35,9 +36,9 @@ struct BuildOptions {
   bool weighted = false;       ///< carry edge weights into the CSR
   bool remove_self_loops = true;
   bool dedupe = true;  ///< drop parallel edges (keep first weight)
-  // Adjacency lists always come out sorted ascending by id: CSR assembly
-  // sorts globally by (src, dst), and the sorted order is load-bearing for
-  // ECL-CC's init heuristic (paper §6.1.3).
+  // Adjacency lists always come out sorted ascending by id, as if sorted
+  // globally by (src, dst); the sorted order is load-bearing for ECL-CC's
+  // init heuristic (paper §6.1.3).
 };
 
 class Builder {
@@ -78,18 +79,5 @@ class Builder {
 /// Convenience: build an undirected unweighted graph from an edge list.
 Csr from_edges(vidx num_vertices, const std::vector<Edge>& edges,
                const BuildOptions& opt = {});
-
-/// Footprint cap shared by both parallel assembly paths — the COO
-/// pipeline in builder.cpp and the streamed pipeline in stream_build.hpp:
-/// at most this many (chunk, row) histogram/cursor entries (256 MiB of
-/// eidx). Chunk counts shrink to fit under it on huge vertex sets.
-inline constexpr usize kParallelHistogramEntryCap = usize{1} << 26;
-
-/// Minimum post-mirror edge count before build() switches from the serial
-/// sort to the parallel pipeline (the pool barriers do not pay for
-/// themselves on tiny inputs). 0 restores the default. Exposed so the
-/// equivalence tests can force the parallel path onto tiny suite graphs.
-void set_parallel_build_min_edges(usize min_edges);
-usize parallel_build_min_edges();
 
 }  // namespace eclp::graph

@@ -1,42 +1,47 @@
-// Chunked streaming CSR assembly: build a graph directly from a
-// re-emittable chunked edge stream, never materializing the edge list.
+// Chunked CSR assembly — the one path every CSR in the repository is
+// built through.
 //
-// The classic Builder path costs ~16 bytes/edge of COO staging on top of
-// the CSR itself and forces generation to finish before assembly starts.
-// This header replaces that with the KaGen discipline: a *chunk source*
-// exposes a fixed number of chunks and can (re)emit any chunk's edges on
-// demand, deterministically per chunk id. build_from_chunks() then runs a
-// two-pass pipeline —
+// A *chunk source* exposes a fixed number of chunks and can (re)emit any
+// chunk's edges on demand, deterministically per chunk id (the KaGen
+// discipline). build_from_chunks() runs a two-pass pipeline over it —
 //
 //   pass 1  re-emit every chunk, accumulating per-(slot, row) degree
 //           histograms (slots group contiguous chunks so the cursor
-//           matrix stays under kParallelHistogramEntryCap);
-//   pass 2  re-emit every chunk again and scatter each edge straight into
-//           the final CSR adjacency array through per-(slot, row) cursors,
+//           matrix stays under kHistogramEntryCap);
+//   pass 2  re-emit every chunk again and scatter each arc straight into
+//           the final adjacency array through per-(slot, row) cursors,
 //
-// followed by the same per-row sort + keep-first dedupe the materialized
-// pipeline runs. Peak memory is the final CSR plus the cursor matrix —
-// the edge list never exists.
+// followed by a per-row sort by destination, a keep-first dedupe and an
+// in-place compaction. Peak memory is the final CSR plus the cursor
+// matrix: a generated stream's edge list never exists. Builder::build
+// (builder.cpp) serves its staged edge list as a VectorChunkSource, so
+// generated, parsed and relabelled graphs all take this path too.
 //
-// Determinism contract (docs/INGEST.md "Chunked streaming generation"):
-// emission within a chunk is sequential and a pure function of the chunk
-// id, so the concatenation of chunks in chunk order is one canonical edge
+// Determinism contract (docs/INGEST.md "One assembly pipeline"): emission
+// within a chunk is sequential and a pure function of the chunk id, so
+// the concatenation of chunks in chunk order is one canonical edge
 // sequence. Both passes replay chunks in chunk order within each slot,
-// which makes the scatter a stable counting sort by source over that
-// canonical sequence — the same argument that makes assemble_parallel
-// bit-identical to the serial sort (builder.cpp). The output is therefore
-// byte-identical to materializing the canonical sequence and calling
-// from_edges(), at any build thread count and any slot grouping.
+// which makes the scatter a stable counting sort by source over the arc
+// sequence; a stable per-row sort by destination on top of it equals one
+// global stable sort by (src, dst). The output is therefore byte-identical
+// at any build thread count and any chunking.
 //
-// Streams are unweighted: the sink carries (src, dst) only, and
-// build_from_chunks rejects opt.weighted. With all weights equal, equal
-// (src, dst) duplicates are indistinguishable, so byte identity survives
-// any interleaving of mirrored arcs too.
+// Arc order. An undirected build's arc sequence is every original arc in
+// canonical order, then every mirror in canonical order. Weighted builds
+// depend on that: with (u,v,5) and (v,u,7) in the input, row v must see
+// its original (v,u,7) before the mirror (v,u,5), so that keep-first
+// dedupe keeps 7. Weighted undirected builds therefore replay the source
+// once more per pass, originals first and mirrors second. Unweighted
+// builds scatter bare vertex ids, where equal (src, dst) arcs are
+// indistinguishable, so they emit each mirror right after its original
+// in a single replay.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <cstring>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -46,9 +51,10 @@
 namespace eclp::graph {
 
 /// A re-emittable chunked edge stream. `emit(chunk, sink)` must call
-/// `sink(src, dst)` for every edge of that chunk, in a fixed order that
-/// depends only on the chunk id — never on thread count, emission order
-/// across chunks, or how often the chunk was emitted before. gen::
+/// `sink(src, dst)` or `sink(src, dst, w)` for every edge of that chunk,
+/// in a fixed order that depends only on the chunk id — never on thread
+/// count, emission order across chunks, or how often the chunk was
+/// emitted before. gen::
 /// ChunkSource (gen/chunk_source.hpp) re-exports this concept for the
 /// generator layer.
 template <typename S>
@@ -60,10 +66,10 @@ concept ChunkedEdgeSource =
       s.emit(chunk, sink);
     };
 
-/// Adapter: serve an already-materialized edge list as a chunk source
-/// (weights are dropped — chunk streams are unweighted). This is how the
-/// equivalence tests drive every suite input, whatever generator built it,
-/// through the streamed pipeline. The span must outlive the adapter.
+/// Adapter: serve an already-materialized edge list, weights included, as
+/// a chunk source. Builder::build assembles its staged edges through it,
+/// and the equivalence tests drive every suite input through it. The span
+/// must outlive the adapter.
 class VectorChunkSource {
  public:
   VectorChunkSource(vidx num_vertices, std::span<const Edge> edges,
@@ -80,7 +86,9 @@ class VectorChunkSource {
   template <typename Sink>
   void emit(u64 chunk, Sink&& sink) const {
     const auto [begin, end] = chunk_range(edges_.size(), chunks_, chunk);
-    for (u64 i = begin; i < end; ++i) sink(edges_[i].src, edges_[i].dst);
+    for (u64 i = begin; i < end; ++i) {
+      sink(edges_[i].src, edges_[i].dst, edges_[i].w);
+    }
   }
 
  private:
@@ -91,65 +99,75 @@ class VectorChunkSource {
 
 namespace detail {
 
-/// Slot count for the streamed pipeline: one slot per pool worker (1 when
-/// ingest is sequential), never more than the source has chunks, and
-/// capped so the cursor matrix (slots x V entries of eidx) stays inside
-/// kParallelHistogramEntryCap — the same footprint bound the materialized
-/// pipeline applies (builder.cpp).
-inline u64 stream_build_slots(u64 chunks, usize num_vertices) {
-  Pool* pool = build_pool();
+/// Footprint cap on the cursor matrix: at most this many (slot, row)
+/// histogram/cursor entries (256 MiB of eidx). Slot counts shrink to fit
+/// under it on huge vertex sets.
+inline constexpr usize kHistogramEntryCap = usize{1} << 26;
+
+/// Slot count: one slot per pool worker (1 without a pool), never more
+/// than there are chunk replays, and capped so the cursor matrix (slots x
+/// V entries of eidx) stays inside kHistogramEntryCap.
+inline u64 assembly_slots(Pool* pool, u64 replays, usize num_vertices) {
   u64 slots = pool == nullptr ? 1 : pool->size();
-  slots = std::max<u64>(1, std::min(slots, chunks));
+  slots = std::max<u64>(1, std::min(slots, replays));
   const usize v = std::max<usize>(1, num_vertices);
-  while (slots > 1 && slots * v > kParallelHistogramEntryCap) --slots;
+  while (slots > 1 && slots * v > kHistogramEntryCap) --slots;
   return slots;
 }
 
-}  // namespace detail
+/// One adjacency entry of a weighted build.
+struct WeightedArc {
+  vidx dst;
+  weight_t w;
+};
 
-/// Assemble a CSR straight from a chunk source, byte-identical to
-/// materializing the source's canonical edge sequence (chunks
-/// concatenated in chunk order) and calling from_edges() with the same
-/// options. Unweighted only.
-template <ChunkedEdgeSource S>
-Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
-  ECLP_CHECK_MSG(!opt.weighted, "chunk streams are unweighted");
+template <bool Weighted, ChunkedEdgeSource S>
+Csr assemble_chunks(const S& source, const BuildOptions& opt) {
+  using Arc = std::conditional_t<Weighted, WeightedArc, vidx>;
   const vidx num_vertices = source.num_vertices();
   const usize V = num_vertices;
   const u64 chunks = std::max<u64>(1, source.num_chunks());
-  const u64 slots = detail::stream_build_slots(chunks, V);
-  Pool* pool = build_pool();
+  const bool mirrors_last = Weighted && !opt.directed;
+  const u64 replays = mirrors_last ? 2 * chunks : chunks;
+  // A single-chunk source is a small build: every phase runs inline.
+  Pool* pool = chunks > 1 ? build_pool() : nullptr;
+  const u64 slots = assembly_slots(pool, replays, V);
 
-  // Pass 1: per-slot degree histograms over the re-emitted stream. Mirror
-  // arcs are counted here too, so the mirrored edge list still never
-  // materializes. Row `slot * V + src` is written only by the worker
-  // draining that slot's chunk range.
+  // Hand every arc of replay `r` to arc(u, v, w): range-check, drop
+  // self-loops when asked, and mirror undirected edges (header comment).
+  const auto replay = [&](u64 r, auto&& arc) {
+    const bool mirror = mirrors_last && r >= chunks;
+    source.emit(mirror ? r - chunks : r,
+                [&](vidx u, vidx v, weight_t w = 0) {
+                  ECLP_CHECK_MSG(u < num_vertices && v < num_vertices,
+                                 "edge (" << u << "," << v
+                                          << ") out of range, n="
+                                          << num_vertices);
+                  if (u == v && opt.remove_self_loops) return;
+                  if (mirror) {
+                    arc(v, u, w);
+                    return;
+                  }
+                  arc(u, v, w);
+                  if (!opt.directed && !mirrors_last) arc(v, u, w);
+                });
+  };
+
+  // Pass 1: per-slot degree histograms over the replayed stream. Row
+  // `slot * V + src` is written only by the worker draining that slot's
+  // replay range.
   std::vector<eidx> cursors(slots * V, 0);
-  parallel_for_chunks(pool, chunks, slots,
-                      [&](u64 slot, u64 cbegin, u64 cend, u32) {
+  parallel_for_chunks(pool, replays, slots,
+                      [&](u64 slot, u64 rbegin, u64 rend, u32) {
                         eidx* mine = cursors.data() + slot * V;
-                        const auto count = [&](vidx u, vidx v) {
-                          ECLP_CHECK_MSG(
-                              u < num_vertices && v < num_vertices,
-                              "edge (" << u << "," << v
-                                       << ") out of range, n="
-                                       << num_vertices);
-                          if (u == v) {
-                            if (opt.remove_self_loops) return;
-                            mine[u] += opt.directed ? 1 : 2;
-                          } else {
-                            mine[u]++;
-                            if (!opt.directed) mine[v]++;
-                          }
-                        };
-                        for (u64 c = cbegin; c < cend; ++c) {
-                          source.emit(c, count);
+                        for (u64 r = rbegin; r < rend; ++r) {
+                          replay(r, [&](vidx u, vidx, weight_t) { mine[u]++; });
                         }
                       });
 
   // Row starts (exclusive prefix over per-row totals), then a column-wise
   // exclusive scan turning the histograms into per-(slot, row) scatter
-  // cursors — the same two phases as the materialized pipeline.
+  // cursors.
   std::vector<eidx> row_start(V + 1, 0);
   {
     u64 running = 0;
@@ -158,8 +176,8 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
       for (u64 c = 0; c < slots; ++c) running += cursors[c * V + s];
     }
     ECLP_CHECK_MSG(running <= static_cast<u64>(kNoEdge),
-                   "streamed graph exceeds 32-bit edge indices ("
-                       << running << " arcs)");
+                   "graph exceeds 32-bit edge indices (" << running
+                                                         << " arcs)");
     row_start[V] = static_cast<eidx>(running);
   }
   parallel_for_chunks(pool, V, slots, [&](u64, u64 begin, u64 end, u32) {
@@ -173,47 +191,52 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
     }
   });
 
-  // Pass 2: re-emit every chunk and scatter arcs (originals and mirrors
-  // interleaved) straight into the final adjacency array. Cursor slots
-  // are private per (slot, row), so no atomics; within every row, slot
-  // order equals chunk order equals canonical order.
-  std::vector<vidx> targets(row_start[V]);
-  parallel_for_chunks(pool, chunks, slots,
-                      [&](u64 slot, u64 cbegin, u64 cend, u32) {
+  // Pass 2: replay again and scatter every arc straight into the final
+  // adjacency array. Cursor slots are private per (slot, row), so no
+  // atomics; within every row, slot order equals replay order equals arc
+  // order.
+  std::vector<Arc> adj(row_start[V]);
+  parallel_for_chunks(pool, replays, slots,
+                      [&](u64 slot, u64 rbegin, u64 rend, u32) {
                         eidx* cursor = cursors.data() + slot * V;
-                        const auto scatter = [&](vidx u, vidx v) {
-                          if (u == v) {
-                            if (opt.remove_self_loops) return;
-                            targets[cursor[u]++] = u;
-                            if (!opt.directed) targets[cursor[u]++] = u;
+                        const auto scatter = [&](vidx u, vidx v, weight_t w) {
+                          if constexpr (Weighted) {
+                            adj[cursor[u]++] = {v, w};
                           } else {
-                            targets[cursor[u]++] = v;
-                            if (!opt.directed) targets[cursor[v]++] = u;
+                            adj[cursor[u]++] = v;
                           }
                         };
-                        for (u64 c = cbegin; c < cend; ++c) {
-                          source.emit(c, scatter);
-                        }
+                        for (u64 r = rbegin; r < rend; ++r) replay(r, scatter);
                       });
   cursors.clear();
   cursors.shrink_to_fit();
 
-  // Per-row sort + keep-first dedupe, in place. Equal u32 values are
-  // interchangeable, so a plain sort yields the same bytes as the
-  // materialized pipeline's stable variant. More chunks than workers so
-  // stealing can rebalance hub rows.
+  // Per-row sort by destination + keep-first dedupe, in place. Weighted
+  // rows sort stably so the first arc of a duplicate run keeps its
+  // weight; equal bare ids are interchangeable, so unweighted rows take
+  // the plain sort. More chunks than workers so stealing can rebalance
+  // hub rows.
   std::vector<eidx> kept(V, 0);
   const u64 row_chunks = std::min<u64>(std::max<usize>(1, V), slots * 8);
   parallel_for_chunks(pool, V, row_chunks, [&](u64, u64 bv, u64 ev, u32) {
     for (u64 s = bv; s < ev; ++s) {
-      vidx* const begin = targets.data() + row_start[s];
-      vidx* const end = targets.data() + row_start[s + 1];
-      std::sort(begin, end);
-      if (opt.dedupe) {
-        kept[s] = static_cast<eidx>(std::unique(begin, end) - begin);
+      Arc* const begin = adj.data() + row_start[s];
+      Arc* const end = adj.data() + row_start[s + 1];
+      Arc* last = end;
+      if constexpr (Weighted) {
+        std::stable_sort(begin, end, [](const Arc& a, const Arc& b) {
+          return a.dst < b.dst;
+        });
+        if (opt.dedupe) {
+          last = std::unique(begin, end, [](const Arc& a, const Arc& b) {
+            return a.dst == b.dst;
+          });
+        }
       } else {
-        kept[s] = static_cast<eidx>(end - begin);
+        std::sort(begin, end);
+        if (opt.dedupe) last = std::unique(begin, end);
       }
+      kept[s] = static_cast<eidx>(last - begin);
     }
   });
 
@@ -232,10 +255,10 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
                       [&](u64, u64 bv, u64 ev, u32) {
                         eidx w = row_start[bv];
                         for (u64 s = bv; s < ev; ++s) {
-                          vidx* const from = targets.data() + row_start[s];
+                          Arc* const from = adj.data() + row_start[s];
                           if (w != row_start[s] && kept[s] != 0) {
-                            std::memmove(targets.data() + w, from,
-                                         kept[s] * sizeof(vidx));
+                            std::memmove(adj.data() + w, from,
+                                         kept[s] * sizeof(Arc));
                           }
                           w += kept[s];
                         }
@@ -246,38 +269,67 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
     const eidx src = row_start[bv];
     const eidx count = offsets[ev] - offsets[bv];
     if (dest != src && count != 0) {
-      std::memmove(targets.data() + dest, targets.data() + src,
-                   static_cast<usize>(count) * sizeof(vidx));
+      std::memmove(adj.data() + dest, adj.data() + src,
+                   static_cast<usize>(count) * sizeof(Arc));
     }
   }
   // resize() keeps the capacity — a shrink_to_fit here would briefly hold
   // both buffers, defeating the bounded-memory point. The slack is the
   // dedupe loss only.
-  targets.resize(offsets[V]);
-  return Csr::from_parts(num_vertices, std::move(offsets),
-                         std::move(targets), {}, opt.directed);
+  adj.resize(offsets[V]);
+  if constexpr (Weighted) {
+    std::vector<vidx> targets(adj.size());
+    std::vector<weight_t> weights(adj.size());
+    parallel_for_chunks(pool, adj.size(), row_chunks,
+                        [&](u64, u64 begin, u64 end, u32) {
+                          for (u64 i = begin; i < end; ++i) {
+                            targets[i] = adj[i].dst;
+                            weights[i] = adj[i].w;
+                          }
+                        });
+    return Csr::from_parts(num_vertices, std::move(offsets),
+                           std::move(targets), std::move(weights),
+                           opt.directed);
+  } else {
+    return Csr::from_parts(num_vertices, std::move(offsets), std::move(adj),
+                           {}, opt.directed);
+  }
+}
+
+}  // namespace detail
+
+/// Assemble a CSR straight from a chunk source, byte-identical to one
+/// global stable sort by (src, dst) over the source's arc sequence (header
+/// comment) with keep-first dedupe. Sources that emit (src, dst) only
+/// build with weight 0.
+template <ChunkedEdgeSource S>
+Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
+  return opt.weighted ? detail::assemble_chunks<true>(source, opt)
+                      : detail::assemble_chunks<false>(source, opt);
 }
 
 /// Materialize the source's canonical edge sequence (chunks in chunk
-/// order). Reference semantics for build_from_chunks; tests and the
-/// peak-RSS bench use it as the "materialized" arm.
+/// order). Tests and the peak-RSS bench use it as the "materialized" arm.
 template <ChunkedEdgeSource S>
 std::vector<Edge> materialize_chunks(const S& source) {
   std::vector<Edge> edges;
   edges.reserve(source.estimated_edges());
   for (u64 c = 0; c < std::max<u64>(1, source.num_chunks()); ++c) {
-    source.emit(c, [&](vidx u, vidx v) { edges.push_back({u, v, 0}); });
+    source.emit(c, [&](vidx u, vidx v, weight_t w = 0) {
+      edges.push_back({u, v, w});
+    });
   }
   return edges;
 }
 
-/// The legacy path over a chunk source: materialize, then Builder::build.
+/// Stage the source's edges in a Builder, then build: the peak-RSS bench's
+/// "materialized" arm, which holds the whole edge list during assembly.
 template <ChunkedEdgeSource S>
 Csr build_materialized(const S& source, const BuildOptions& opt = {}) {
   Builder b(source.num_vertices());
   b.reserve_edges(source.estimated_edges());
   for (u64 c = 0; c < std::max<u64>(1, source.num_chunks()); ++c) {
-    source.emit(c, [&](vidx u, vidx v) { b.add(u, v); });
+    source.emit(c, [&](vidx u, vidx v, weight_t w = 0) { b.add(u, v, w); });
   }
   return b.build(opt);
 }

@@ -11,6 +11,7 @@ const char* scale_name(gen::Scale s) {
     case gen::Scale::kTiny: return "tiny";
     case gen::Scale::kSmall: return "small";
     case gen::Scale::kDefault: return "default";
+    case gen::Scale::kHuge: return "huge";
   }
   return "tiny";
 }
@@ -51,7 +52,11 @@ const char* status_name(Status s) {
 Request Request::from_json(const json::Value& v, usize index) {
   ECLP_CHECK_MSG(v.is_object(), "request " << index << ": not a JSON object");
   Request req;
+  // GCC 12 reports a false -Wrestrict positive inside std::string here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
   req.id = "r" + std::to_string(index);
+#pragma GCC diagnostic pop
   for (const auto& [key, value] : v.members()) {
     if (key == "id") {
       req.id = value.as_string();

@@ -16,11 +16,12 @@
 //                              timing-dependent execution of ECL-MIS whose
 //                              run-to-run variation the paper's Table 3
 //                              studies;
-//      - launch_block_iterative(): each block repeats a thread-step sweep
-//                              followed by a block-wide vote until no thread
-//                              in the block updated — the __syncthreads
-//                              do-while structure of ECL-SCC's propagation
-//                              kernel (paper Figure 1);
+//      - launch_block_jacobi(): each block repeats a thread-step sweep,
+//                              a block-wide sync and a commit of the
+//                              sweep's buffered writes until the commit
+//                              changes nothing — the __syncthreads do-while
+//                              structure of ECL-SCC's propagation kernel
+//                              (paper Figure 1);
 //  * a cycle cost model charged as threads execute (cost_model.hpp).
 //
 // Dispatch: the launch entry points are templates on the kernel body type,
@@ -84,7 +85,7 @@ struct KernelStats {
   LaunchConfig config;
   KernelCost cost;
   u64 cooperative_rounds = 0;             ///< launch_cooperative only
-  std::vector<u64> block_inner_iterations;  ///< launch_block_iterative only
+  std::vector<u64> block_inner_iterations;  ///< launch_block_jacobi only
 };
 
 enum class ScheduleMode : u8 {
@@ -401,64 +402,10 @@ class Device {
   }
 
   /// Block-synchronous do-while kernel (ECL-SCC's propagation): each block
-  /// repeats { every thread runs `step`; block-wide sync } while any thread
-  /// in the block reported an update. Returns per-block inner iteration
-  /// counts. `step(ctx, inner_iter)` returns "did this thread update".
-  /// Updates become visible immediately (Gauss-Seidel within the sweep).
-  template <typename Step>
-  KernelStats launch_block_iterative(const std::string& name, LaunchConfig cfg,
-                                     Step&& step, u64 max_inner = 1u << 22) {
-    static_assert(
-        std::is_invocable_r_v<bool, Step&, ThreadCtx&, u64>,
-        "block-iterative step must be callable as bool step(ThreadCtx&, u64)");
-    ECLP_CHECK(cfg.blocks > 0 && cfg.threads_per_block > 0);
-    begin_observation();
-    const u64 atomics_before = atomics_.total();
-    work_.assign(cfg.total_threads(), 0);
-    prepare_caches(cfg.blocks);
-
-    std::vector<u64> block_iters(cfg.blocks, 0);
-    std::vector<u64> block_sync(cfg.blocks, 0);
-    const auto run_block = [&](u32 b, AtomicStats* shard) {
-      bool block_updated = true;
-      u64 inner = 0;
-      while (block_updated) {
-        ECLP_CHECK_MSG(inner < max_inner,
-                       "block-iterative kernel '" << name << "' block " << b
-                                                  << " exceeded " << max_inner
-                                                  << " inner iterations");
-        ++inner;
-        block_updated = false;
-        for (u32 t = 0; t < cfg.threads_per_block; ++t) {
-          ThreadCtx ctx = make_ctx(cfg, b, t, shard);
-          block_updated |= step(ctx, inner);
-          ctx.flush_cost();
-        }
-        // Block-wide synchronization: every resident thread participates,
-        // active or not — this is the overhead the paper's §6.2.1 tunes
-        // away.
-        block_sync[b] +=
-            static_cast<u64>(cfg.threads_per_block) * cost_.sync_per_thread;
-      }
-      block_iters[b] = inner;
-    };
-    if (cfg.block_independent) {
-      run_blocks(cfg, [&](u32 b, AtomicStats& shard) { run_block(b, &shard); });
-    } else {
-      for (u32 b = 0; b < cfg.blocks; ++b) run_block(b, nullptr);
-    }
-
-    KernelStats ks;
-    ks.name = name;
-    ks.config = cfg;
-    ks.block_inner_iterations = std::move(block_iters);
-    ks.cost = finalize_cost(cfg, work_, block_sync);
-    record_trace(ks, atomics_before);
-    return ks;
-  }
-
-  /// Like launch_block_iterative, but with *sweep-snapshot* visibility: the
-  /// kernel's `step` only reads committed state and buffers its writes;
+  /// repeats { every thread runs `step`; block-wide sync; `commit` } until
+  /// `commit` reports no change. Returns per-block inner iteration counts.
+  /// Visibility is a *sweep snapshot*: the kernel's `step(ctx, inner_iter)`
+  /// only reads committed state and buffers its writes;
   /// `commit(block, inner_iter)` applies them after the block-wide sync and
   /// returns whether anything changed (false ends the block's loop). This
   /// models warp-parallel execution, where a value chain advances about one

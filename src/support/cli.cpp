@@ -41,7 +41,11 @@ void Cli::parse(int argc, const char* const* argv) {
     if (opt.is_flag) {
       ECLP_CHECK_MSG(!value.has_value(), "flag --" << name
                                                    << " takes no value");
+      // GCC 12 reports a false -Wrestrict positive inside std::string here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
       opt.value = "1";
+#pragma GCC diagnostic pop
     } else {
       if (!value.has_value()) {
         ECLP_CHECK_MSG(i + 1 < argc, "option --" << name << " needs a value");

@@ -1,16 +1,18 @@
-// Equivalence tests for the parallel ingest pipeline (graph/builder.cpp,
-// the chunk-parallel readers, and the content-addressed graph cache).
+// Equivalence tests for the parallel ingest pipeline (Builder::build over
+// graph/stream_build.hpp, the chunk-parallel readers, and the
+// content-addressed graph cache).
 //
-// The pipeline's contract is stronger than "same graph": the CSR coming
-// out of the parallel build must be *byte-identical* to the serial path at
-// any thread count — sorted adjacency is load-bearing for ECL-CC's init
-// heuristic (builder.hpp, paper §6.1.3), and every golden in this repo was
-// produced by the serial builder. These tests pin that contract for the
-// whole Table-1 input suite and for all four text formats, and they live
-// in the eclp_parallel_tests binary so the TSan configuration (ctest -L
-// tsan) race-checks the same code paths.
+// The pipeline's contract is stronger than "same graph": at any thread
+// count, the CSR it assembles must be *byte-identical* to reference_build
+// below, a direct global stable sort — sorted adjacency is load-bearing
+// for ECL-CC's init heuristic (builder.hpp, paper §6.1.3), and every
+// golden in this repo was produced with those bytes. These tests pin that
+// contract for the whole Table-1 input suite and for all four text
+// formats, and they live in the eclp_parallel_tests binary so the TSan
+// configuration (ctest -L tsan) race-checks the same code paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -38,25 +40,76 @@ std::string bytes_of(const graph::Csr& g) {
   return std::move(ss).str();
 }
 
+/// The assembly contract, written out directly: drop self-loops when
+/// asked, append every edge's mirror after all originals (undirected),
+/// stable-sort globally by (src, dst), keep the first of each duplicate
+/// run, and sweep the result into CSR arrays.
+graph::Csr reference_build(vidx n, std::vector<graph::Edge> edges,
+                           const graph::BuildOptions& opt) {
+  if (opt.remove_self_loops) {
+    std::erase_if(edges, [](const graph::Edge& e) { return e.src == e.dst; });
+  }
+  if (!opt.directed) {
+    const usize originals = edges.size();
+    edges.reserve(2 * originals);
+    for (usize i = 0; i < originals; ++i) {
+      const graph::Edge e = edges[i];
+      edges.push_back({e.dst, e.src, e.w});
+    }
+  }
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const graph::Edge& a, const graph::Edge& b) {
+                     return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+                   });
+  if (opt.dedupe) {
+    edges.erase(std::unique(edges.begin(), edges.end(),
+                            [](const graph::Edge& a, const graph::Edge& b) {
+                              return a.src == b.src && a.dst == b.dst;
+                            }),
+                edges.end());
+  }
+  std::vector<eidx> offsets(static_cast<usize>(n) + 1, 0);
+  for (const graph::Edge& e : edges) offsets[e.src + 1]++;
+  for (usize v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
+  std::vector<vidx> targets;
+  std::vector<weight_t> weights;
+  for (const graph::Edge& e : edges) {
+    targets.push_back(e.dst);
+    if (opt.weighted) weights.push_back(e.w);
+  }
+  return graph::Csr::from_parts(n, std::move(offsets), std::move(targets),
+                                std::move(weights), opt.directed);
+}
+
+/// A graph's arcs in CSR order, weights included; `once` keeps each
+/// undirected edge a single time (its u <= v side).
+std::vector<graph::Edge> edges_of(const graph::Csr& g, bool once) {
+  std::vector<graph::Edge> edges;
+  for (vidx u = 0; u < g.num_vertices(); ++u) {
+    const auto nbrs = g.neighbors(u);
+    for (usize i = 0; i < nbrs.size(); ++i) {
+      if (once && nbrs[i] < u) continue;
+      edges.push_back({u, nbrs[i], g.weighted() ? g.weights_of(u)[i] : 0});
+    }
+  }
+  return edges;
+}
+
 /// Restores the ingest configuration a test mutates. Every test in this
 /// file runs with the cache disabled unless it explicitly enables one.
 class IngestConfigGuard {
  public:
   IngestConfigGuard()
-      : threads_(build_threads()),
-        min_edges_(graph::parallel_build_min_edges()),
-        cache_dir_(graph::cache_dir()) {
+      : threads_(build_threads()), cache_dir_(graph::cache_dir()) {
     graph::set_cache_dir("");
   }
   ~IngestConfigGuard() {
     set_build_threads(threads_);
-    graph::set_parallel_build_min_edges(min_edges_);
     graph::set_cache_dir(cache_dir_);
   }
 
  private:
   u32 threads_;
-  usize min_edges_;
   std::string cache_dir_;
 };
 
@@ -119,19 +172,24 @@ TEST(ParallelFor, RunsInlineWithoutAPool) {
 
 // --- parallel build ----------------------------------------------------------
 
-/// Every suite input, built serially and with 2/7 ingest threads, must
-/// serialize to identical bytes. The threshold is dropped to 1 so even the
-/// tiny-scale graphs exercise the parallel pipeline (generators build
-/// their CSRs through the same Builder, so this covers generator-internal
-/// builds too).
+/// Every suite input, generated with 1/2/7 ingest threads, must serialize
+/// to the bytes reference_build assembles from the graph's own edges:
+/// sorted, deduplicated and symmetric, identically at every thread count
+/// (generators build their CSRs through the same Builder, so this covers
+/// generator-internal builds too).
 TEST(ParallelBuild, ByteIdenticalAcrossThreadCountsForWholeSuite) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
   for (const auto* inputs : {&gen::general_inputs(), &gen::mesh_inputs()}) {
     for (const auto& spec : *inputs) {
       set_build_threads(1);
-      const std::string reference = bytes_of(spec.make(gen::Scale::kTiny));
-      for (const u32 threads : {2u, 7u}) {
+      const auto g = spec.make(gen::Scale::kTiny);
+      graph::BuildOptions opt;
+      opt.directed = g.directed();
+      opt.weighted = g.weighted();
+      opt.remove_self_loops = false;
+      const std::string reference = bytes_of(reference_build(
+          g.num_vertices(), edges_of(g, !g.directed()), opt));
+      for (const u32 threads : {1u, 2u, 7u}) {
         set_build_threads(threads);
         EXPECT_EQ(bytes_of(spec.make(gen::Scale::kTiny)), reference)
             << spec.name << " at " << threads << " build threads";
@@ -140,37 +198,37 @@ TEST(ParallelBuild, ByteIdenticalAcrossThreadCountsForWholeSuite) {
   }
 }
 
-/// Duplicate edges with distinct weights: the serial stable sort keeps the
-/// first-inserted weight; the parallel pipeline must too.
+/// Duplicate edges with distinct weights: the reference's stable sort
+/// keeps the first-inserted weight; the pipeline must too.
 TEST(ParallelBuild, KeepsFirstInsertedWeightForDuplicates) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
   graph::BuildOptions opt;
   opt.directed = true;
   opt.weighted = true;
   std::vector<graph::Edge> edges;
   // Many parallel edges spread over sources so chunks split between dupes.
-  for (u32 rep = 0; rep < 50; ++rep) {
+  for (u32 rep = 0; rep < 200; ++rep) {
     for (vidx s = 0; s < 40; ++s) {
       edges.push_back({s, (s + rep) % 40, rep + 1});
       edges.push_back({s, (s * 7 + rep) % 40, 100 + rep});
     }
   }
-  set_build_threads(1);
-  const auto reference = bytes_of(graph::from_edges(40, edges, opt));
-  for (const u32 threads : {2u, 7u}) {
+  const auto reference = bytes_of(reference_build(40, edges, opt));
+  for (const u32 threads : {1u, 2u, 7u}) {
     set_build_threads(threads);
     EXPECT_EQ(bytes_of(graph::from_edges(40, edges, opt)), reference)
         << threads << " build threads";
   }
 }
 
+/// Every option combination against the reference. The undirected
+/// weighted cases hold both (u,v,w1) and (v,u,w2) for many pairs, so they
+/// fail unless every mirror lands behind every original.
 TEST(ParallelBuild, NoDedupeAndSelfLoopOptionsMatchSerial) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
   std::vector<graph::Edge> edges;
-  for (u32 i = 0; i < 5000; ++i) {
-    edges.push_back({i % 97, (i * 13 + 5) % 97, i});
+  for (u32 i = 0; i < 20000; ++i) {
+    edges.push_back({i % 97, (i * 13 + i / 97 + 5) % 97, i});
   }
   for (const bool dedupe : {true, false}) {
     for (const bool loops : {true, false}) {
@@ -180,12 +238,13 @@ TEST(ParallelBuild, NoDedupeAndSelfLoopOptionsMatchSerial) {
         opt.remove_self_loops = loops;
         opt.directed = directed;
         opt.weighted = true;
-        set_build_threads(1);
-        const auto reference = bytes_of(graph::from_edges(97, edges, opt));
-        set_build_threads(7);
-        EXPECT_EQ(bytes_of(graph::from_edges(97, edges, opt)), reference)
-            << "dedupe=" << dedupe << " loops=" << loops
-            << " directed=" << directed;
+        const auto reference = bytes_of(reference_build(97, edges, opt));
+        for (const u32 threads : {1u, 2u, 7u}) {
+          set_build_threads(threads);
+          EXPECT_EQ(bytes_of(graph::from_edges(97, edges, opt)), reference)
+              << "dedupe=" << dedupe << " loops=" << loops
+              << " directed=" << directed << " threads=" << threads;
+        }
       }
     }
   }
@@ -193,60 +252,70 @@ TEST(ParallelBuild, NoDedupeAndSelfLoopOptionsMatchSerial) {
 
 // --- chunk-parallel text parsing --------------------------------------------
 
+/// The reference for a parse of `g` rendered as text: reference_build over
+/// the edges the writer puts in the file (`once`: each undirected edge a
+/// single time), with the options the format's parser builds with.
+std::string parsed_reference(const graph::Csr& g, bool once, bool weighted) {
+  graph::BuildOptions opt;
+  opt.weighted = weighted;
+  return bytes_of(reference_build(g.num_vertices(), edges_of(g, once), opt));
+}
+
 /// Render a mid-sized graph in each text format and re-parse it at 1/2/7
-/// ingest threads; all three parses must serialize identically (and equal
-/// the original graph).
+/// ingest threads; every parse must serialize to the reference's bytes
+/// (and the unweighted formats to the original graph's).
 TEST(ChunkedParse, AllFormatsByteIdenticalAcrossThreadCounts) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
 
-  const auto undirected = gen::uniform_random(1500, 6000, 9);
+  const auto undirected = gen::uniform_random(3000, 12000, 9);
   const auto weighted = graph::with_random_weights(undirected, 17);
 
   struct Case {
     const char* name;
     std::string text;
     std::function<graph::Csr()> parse;
+    std::string reference;
   };
   std::vector<Case> cases;
   {
     std::stringstream ss;
     graph::write_matrix_market(undirected, ss);
     const std::string text = ss.str();
-    cases.push_back({"mtx", text, [text] {
-                       return graph::parse_matrix_market(text);
-                     }});
+    cases.push_back({"mtx", text,
+                     [text] { return graph::parse_matrix_market(text); },
+                     parsed_reference(undirected, true, false)});
   }
   {
     std::stringstream ss;
     graph::write_edge_list(undirected, ss);
     const std::string text = ss.str();
     const vidx n = undirected.num_vertices();
-    cases.push_back({"el", text, [text, n] {
+    cases.push_back({"el", text,
+                     [text, n] {
                        return graph::parse_edge_list(text, false, n);
-                     }});
+                     },
+                     parsed_reference(undirected, true, false)});
   }
   {
     std::stringstream ss;
     graph::write_dimacs_sp(weighted, ss);
     const std::string text = ss.str();
-    cases.push_back({"gr", text, [text] {
-                       return graph::parse_dimacs_sp(text, true);
-                     }});
+    cases.push_back({"gr", text,
+                     [text] { return graph::parse_dimacs_sp(text, true); },
+                     parsed_reference(weighted, false, true)});
   }
   {
     std::stringstream ss;
     graph::write_dimacs_col(undirected, ss);
     const std::string text = ss.str();
-    cases.push_back({"col", text, [text] {
-                       return graph::parse_dimacs_col(text);
-                     }});
+    cases.push_back({"col", text,
+                     [text] { return graph::parse_dimacs_col(text); },
+                     parsed_reference(undirected, true, false)});
   }
 
   for (const Case& c : cases) {
-    set_build_threads(1);
-    const std::string reference = bytes_of(c.parse());
-    for (const u32 threads : {2u, 7u}) {
+    const std::string& reference = c.reference;
+    for (const u32 threads : {1u, 2u, 7u}) {
       set_build_threads(threads);
       EXPECT_EQ(bytes_of(c.parse()), reference)
           << c.name << " at " << threads << " build threads";
@@ -307,18 +376,19 @@ std::string adversarial_layout(const std::string& text, char comment,
 }
 
 /// Property test: random graphs rendered in all four text formats, then
-/// re-serialized into adversarial layouts, must parse to byte-identical
-/// CSRs at 1/2/7 ingest threads — and identical to the serial parse of the
-/// pristine rendering (comments, CRLF, and missing trailing newlines are
-/// presentation, not content).
+/// re-serialized into adversarial layouts, must parse at 1/2/7 ingest
+/// threads to the reference's bytes, exactly as the pristine renderings
+/// do (comments, CRLF, and missing trailing newlines are presentation,
+/// not content).
 TEST(ChunkedParse, AdversarialLayoutsMatchSerialPristineParse) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
 
   for (const u64 seed : {3u, 11u, 29u}) {
     const vidx n = 400 + static_cast<vidx>(seed) * 97;
     const auto undirected = gen::uniform_random(n, 4 * n, seed);
     const auto weighted = graph::with_random_weights(undirected, seed + 1);
+    const std::string plain_reference =
+        parsed_reference(undirected, true, false);
 
     struct Case {
       const char* name;
@@ -326,49 +396,57 @@ TEST(ChunkedParse, AdversarialLayoutsMatchSerialPristineParse) {
       char comment;
       bool body_comments;
       std::function<graph::Csr(const std::string&)> parse;
+      std::string reference;
     };
     std::vector<Case> cases;
     {
       std::stringstream ss;
       graph::write_matrix_market(undirected, ss);
-      cases.push_back({"mtx", ss.str(), '%', false, [](const std::string& t) {
+      cases.push_back({"mtx", ss.str(), '%', false,
+                       [](const std::string& t) {
                          return graph::parse_matrix_market(t);
-                       }});
+                       },
+                       plain_reference});
     }
     {
       std::stringstream ss;
       graph::write_edge_list(undirected, ss);
-      cases.push_back({"el", ss.str(), '#', true, [n](const std::string& t) {
+      cases.push_back({"el", ss.str(), '#', true,
+                       [n](const std::string& t) {
                          return graph::parse_edge_list(t, false, n);
-                       }});
+                       },
+                       plain_reference});
     }
     {
       std::stringstream ss;
       graph::write_dimacs_sp(weighted, ss);
-      cases.push_back({"gr", ss.str(), 'c', true, [](const std::string& t) {
+      cases.push_back({"gr", ss.str(), 'c', true,
+                       [](const std::string& t) {
                          return graph::parse_dimacs_sp(t, true);
-                       }});
+                       },
+                       parsed_reference(weighted, false, true)});
     }
     {
       std::stringstream ss;
       graph::write_dimacs_col(undirected, ss);
-      cases.push_back({"col", ss.str(), 'c', true, [](const std::string& t) {
+      cases.push_back({"col", ss.str(), 'c', true,
+                       [](const std::string& t) {
                          return graph::parse_dimacs_col(t);
-                       }});
+                       },
+                       plain_reference});
     }
 
     for (const Case& c : cases) {
       const std::string hostile =
           adversarial_layout(c.pristine, c.comment, c.body_comments);
       ASSERT_NE(hostile, c.pristine);
-      set_build_threads(1);
-      const std::string reference = bytes_of(c.parse(c.pristine));
-      EXPECT_EQ(bytes_of(c.parse(hostile)), reference)
-          << c.name << " seed " << seed << " serial adversarial parse";
-      for (const u32 threads : {2u, 7u}) {
+      for (const u32 threads : {1u, 2u, 7u}) {
         set_build_threads(threads);
-        EXPECT_EQ(bytes_of(c.parse(hostile)), reference)
-            << c.name << " seed " << seed << " at " << threads
+        EXPECT_EQ(bytes_of(c.parse(c.pristine)), c.reference)
+            << c.name << " seed " << seed << " pristine at " << threads
+            << " build threads";
+        EXPECT_EQ(bytes_of(c.parse(hostile)), c.reference)
+            << c.name << " seed " << seed << " adversarial at " << threads
             << " build threads";
       }
     }

@@ -113,6 +113,14 @@ TEST(ServeRequest, JsonRoundTrip) {
   EXPECT_EQ(back.seed, r.seed);
   EXPECT_EQ(back.weights_seed, r.weights_seed);
   EXPECT_EQ(back.verify, r.verify);
+
+  // Every scale renders under its own name, huge included.
+  serve::Request huge;
+  huge.input = "kron_g500-logn21";
+  huge.scale = gen::Scale::kHuge;
+  EXPECT_EQ(huge.to_json().dump().find("\"tiny\""), std::string::npos);
+  EXPECT_EQ(serve::Request::from_json(huge.to_json(), 0).scale,
+            gen::Scale::kHuge);
 }
 
 TEST(ServeRequest, TimingFieldsStayOutOfDeterministicRendering) {
@@ -449,10 +457,14 @@ TEST(Server, ResponsesComeBackInRequestOrder) {
   serve::Server server(opt);
   std::vector<serve::Request> reqs;
   for (u32 i = 0; i < 24; ++i) {
+    // GCC 12 reports a false -Wrestrict positive inside std::string here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
     reqs.push_back(make_request("r" + std::to_string(i),
                                 i % 2 == 0 ? serve::Algo::kCc
                                            : serve::Algo::kMis,
                                 i % 3 == 0 ? "internet" : "rmat16.sym"));
+#pragma GCC diagnostic pop
   }
   const auto responses = server.serve(reqs);
   ASSERT_EQ(responses.size(), reqs.size());
@@ -510,8 +522,12 @@ TEST(Server, TracksQueueDepthAndHighWaterMark) {
   serve::Server server(opt);
   std::vector<std::future<serve::Response>> futures;
   for (u32 i = 0; i < 5; ++i) {
+    // GCC 12 reports a false -Wrestrict positive inside std::string here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
     futures.push_back(server.submit(
         make_request("d" + std::to_string(i), serve::Algo::kCc, "internet")));
+#pragma GCC diagnostic pop
   }
   auto s = server.stats();
   EXPECT_EQ(s.queue_depth, 5u);

@@ -216,48 +216,23 @@ TEST(Cooperative, ShuffledModeStillCompletes) {
   for (const int s : steps) EXPECT_EQ(s, 3);
 }
 
-// --- block-iterative launch ---------------------------------------------------------
-
-TEST(BlockIterative, RunsUntilBlockFixpoint) {
-  Device dev;
-  // Each block propagates a token along its 8 threads; thread t updates when
-  // its left neighbor holds a value bigger than its own.
-  LaunchConfig cfg{2, 8};
-  std::vector<u32> val(16, 0);
-  val[0] = 5;
-  val[8] = 7;
-  const auto ks = dev.launch_block_iterative(
-      "prop", cfg, [&](ThreadCtx& ctx, u64) {
-        const u32 i = ctx.global_id();
-        if (ctx.thread_idx() == 0) return false;
-        if (val[i - 1] > val[i]) {
-          val[i] = val[i - 1];
-          return true;
-        }
-        return false;
-      });
-  for (u32 i = 0; i < 8; ++i) EXPECT_EQ(val[i], 5u);
-  for (u32 i = 8; i < 16; ++i) EXPECT_EQ(val[i], 7u);
-  ASSERT_EQ(ks.block_inner_iterations.size(), 2u);
-  // Ascending sweep propagates in one pass; one more confirms fixpoint.
-  EXPECT_EQ(ks.block_inner_iterations[0], 2u);
-  EXPECT_EQ(ks.block_inner_iterations[1], 2u);
-}
+// --- block-jacobi launch ------------------------------------------------------------
 
 TEST(BlockIterative, SyncCostGrowsWithBlockSize) {
   CostModel cm;
   Device small_dev(cm), large_dev(cm);
-  const auto kernel = [](ThreadCtx&, u64 inner) { return inner < 4; };
-  const auto a = small_dev.launch_block_iterative("s", {1, 64}, kernel);
-  const auto b = large_dev.launch_block_iterative("l", {1, 1024}, kernel);
+  const auto step = [](ThreadCtx&, u64) {};
+  const auto commit = [](u32, u64 inner) { return inner < 4; };
+  const auto a = small_dev.launch_block_jacobi("s", {1, 64}, step, commit);
+  const auto b = large_dev.launch_block_jacobi("l", {1, 1024}, step, commit);
   EXPECT_GT(b.cost.sync_cost, a.cost.sync_cost);
 }
 
 TEST(BlockIterative, RunawayInnerLoopIsCaught) {
   Device dev;
-  EXPECT_THROW(dev.launch_block_iterative(
-                   "spin", {1, 4}, [](ThreadCtx&, u64) { return true; },
-                   /*max_inner=*/50),
+  EXPECT_THROW(dev.launch_block_jacobi(
+                   "spin", {1, 4}, [](ThreadCtx&, u64) {},
+                   [](u32, u64) { return true; }, /*max_inner=*/50),
                CheckFailure);
 }
 
@@ -297,13 +272,11 @@ TEST(Cost, AllIdleImbalanceIsExactlyOne) {
 
 TEST(BlockIterative, PerBlockIterationCountsIndependent) {
   Device dev;
-  // Block 0 stops after its first sweep reports no update; block 1 updates
-  // through sweep 4 and confirms on sweep 5.
-  const auto ks = dev.launch_block_iterative(
-      "t", {2, 4}, [&](ThreadCtx& ctx, u64 inner) {
-        if (ctx.block_idx() == 0) return false;
-        return inner < 5;
-      });
+  // Block 0 stops after its first commit reports no change; block 1
+  // changes through sweep 4 and confirms on sweep 5.
+  const auto ks = dev.launch_block_jacobi(
+      "t", {2, 4}, [](ThreadCtx&, u64) {},
+      [](u32 block, u64 inner) { return block != 0 && inner < 5; });
   EXPECT_EQ(ks.block_inner_iterations[0], 1u);
   EXPECT_EQ(ks.block_inner_iterations[1], 5u);
 }

@@ -5,8 +5,8 @@
 // "Chunked streaming generation": a stream's canonical edge sequence is a
 // pure function of (generator parameters, seed) — independent of chunk
 // count, build thread count, and chunk schedule — and build_from_chunks
-// over that sequence is byte-identical to materializing it and running
-// the classic from_edges path. Lives in eclp_parallel_tests so the TSan
+// over that sequence is byte-identical to materializing it and building
+// it through from_edges. Lives in eclp_parallel_tests so the TSan
 // configuration race-checks the two re-emission passes.
 #include <gtest/gtest.h>
 
@@ -128,32 +128,36 @@ TEST(StreamBuild, MatchesMaterializedPathForEveryFamily) {
 }
 
 TEST(StreamBuild, HonorsBuildOptions) {
-  // Self-loop handling and directedness must match Builder::build's
-  // semantics exactly — including the keep-loops and directed variants
-  // the suite never exercises.
-  std::vector<graph::Edge> edges{{0, 1, 0}, {1, 1, 0}, {2, 0, 0},
-                                 {1, 0, 0}, {0, 1, 0}};
+  // Self-loop handling, directedness and weights must match
+  // Builder::build's semantics exactly — including the keep-loops,
+  // directed and weighted variants the suite never exercises. The weights
+  // differ between opposite arcs, so mirror order shows in the bytes.
+  std::vector<graph::Edge> edges{{0, 1, 5}, {1, 1, 6}, {2, 0, 3},
+                                 {1, 0, 7}, {0, 1, 9}};
   const graph::VectorChunkSource source(3, edges, 2);
   for (const bool directed : {false, true}) {
     for (const bool loops : {true, false}) {
       for (const bool dedupe : {true, false}) {
-        graph::BuildOptions opt;
-        opt.directed = directed;
-        opt.remove_self_loops = loops;
-        opt.dedupe = dedupe;
-        EXPECT_EQ(bytes_of(graph::build_from_chunks(source, opt)),
-                  bytes_of(graph::from_edges(3, edges, opt)))
-            << "directed=" << directed << " loops=" << loops
-            << " dedupe=" << dedupe;
+        for (const bool weighted : {false, true}) {
+          graph::BuildOptions opt;
+          opt.directed = directed;
+          opt.remove_self_loops = loops;
+          opt.dedupe = dedupe;
+          opt.weighted = weighted;
+          EXPECT_EQ(bytes_of(graph::build_from_chunks(source, opt)),
+                    bytes_of(graph::from_edges(3, edges, opt)))
+              << "directed=" << directed << " loops=" << loops
+              << " dedupe=" << dedupe << " weighted=" << weighted;
+        }
       }
     }
   }
 }
 
-// Every suite entry, streamed through VectorChunkSource and rebuilt
-// against the classic pipeline — the generator that produced the edges
-// does not matter, the two assembly paths must agree on every structural
-// class in Table 1.
+// Every suite entry, streamed through VectorChunkSource at 13 chunks and
+// rebuilt — the generator that produced the edges does not matter, the
+// rebuild must reproduce the generated bytes for every structural class
+// in Table 1.
 void expect_suite_identity(gen::Scale scale, std::initializer_list<u32>
                                                  thread_counts) {
   ThreadGuard guard;
