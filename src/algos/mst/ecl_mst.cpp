@@ -262,6 +262,7 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
     if (!merged_any && worklist.empty()) break;
   }
 
+  res.rounds = regular_index + filter_index;
   res.modeled_cycles = dev.total_cycles() - cycles_before;
   for (u32 e = 0; e < num_edges; ++e) {
     if (res.in_mst[e]) {

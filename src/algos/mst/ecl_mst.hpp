@@ -79,6 +79,7 @@ struct Result {
   u64 total_weight = 0;
   usize mst_edges = 0;
   std::vector<IterationMetrics> iterations;
+  u32 rounds = 0;  ///< Regular + Filter iterations run
   u64 modeled_cycles = 0;
 };
 

@@ -18,28 +18,6 @@ const char* scale_name(gen::Scale s) {
 
 }  // namespace
 
-const char* algo_name(Algo a) {
-  switch (a) {
-    case Algo::kCc: return "cc";
-    case Algo::kGc: return "gc";
-    case Algo::kMis: return "mis";
-    case Algo::kMst: return "mst";
-    case Algo::kScc: return "scc";
-  }
-  return "cc";
-}
-
-Algo parse_algo(const std::string& s) {
-  if (s == "cc") return Algo::kCc;
-  if (s == "gc") return Algo::kGc;
-  if (s == "mis") return Algo::kMis;
-  if (s == "mst") return Algo::kMst;
-  if (s == "scc") return Algo::kScc;
-  ECLP_CHECK_MSG(false, "unknown algo '" << s
-                        << "' (cc | gc | mis | mst | scc)");
-  return Algo::kCc;
-}
-
 const char* status_name(Status s) {
   switch (s) {
     case Status::kOk: return "ok";
@@ -103,7 +81,7 @@ json::Value Request::to_json() const {
     v.set("graph", file);
   }
   v.set("seed", seed);
-  if (algo == Algo::kMst) v.set("weights", weights_seed);
+  if (algos::entry(algo).wants_weights) v.set("weights", weights_seed);
   if (directed) v.set("directed", true);
   if (verify) v.set("verify", true);
   // Emitted only when set, so pre-existing request round-trips (and the

@@ -19,31 +19,24 @@
 #include <string>
 #include <vector>
 
-#include "gen/suite.hpp"
+#include "algos/registry.hpp"
 #include "support/json.hpp"
 #include "support/types.hpp"
 
 namespace eclp::serve {
 
-enum class Algo : u8 { kCc, kGc, kMis, kMst, kScc };
-const char* algo_name(Algo a);
-/// Parse "cc" | "gc" | "mis" | "mst" | "scc"; throws CheckFailure.
-Algo parse_algo(const std::string& s);
+// A request names its algorithm by registry entry (algos/registry.hpp).
+using algos::Algo;
+using algos::algo_name;
+using algos::parse_algo;
 
-struct Request {
+/// A graph (the pool keys it by all of GraphSource, so reordered graphs
+/// never alias natural-order ones) plus the knobs of one run.
+struct Request : algos::GraphSource {
   std::string id;          ///< defaults to "r<line index>" when absent
   Algo algo = Algo::kCc;
-  std::string input;       ///< suite input name (exclusive with `file`)
-  std::string file;        ///< graph file path (.eclg/.mtx/.gr/.col/.el)
-  gen::Scale scale = gen::Scale::kTiny;  ///< with `input`
   u64 seed = 0;            ///< device seed (shuffled schedule if nonzero)
-  u64 weights_seed = 42;   ///< MST random-weight seed for unweighted graphs
-  bool directed = false;   ///< for edge-list files without inherent direction
   bool verify = false;     ///< check against the sequential reference
-  /// Vertex reordering spec ("" = natural): natural, random[:SEED], bfs,
-  /// degree, hub, hubcluster, gorder[:WINDOW]. Part of the graph pool key —
-  /// reordered graphs never alias natural-order entries.
-  std::string reorder;
   /// Modeled-LLC spec ("" = off): off, on, or LINE:WAYS:SETS. Changes
   /// modeled results when enabled, so it is part of the pool key too.
   std::string llc;
@@ -51,9 +44,6 @@ struct Request {
   /// Parse one JSONL object. `index` names anonymous requests.
   static Request from_json(const json::Value& v, usize index);
   json::Value to_json() const;
-
-  /// "rmat16.sym" / the file path — the label responses echo back.
-  const std::string& graph_label() const { return input.empty() ? file : input; }
 };
 
 /// Parse a JSONL request file body. Blank lines and lines starting with

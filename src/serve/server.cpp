@@ -1,20 +1,11 @@
 #include "serve/server.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 
-#include "algos/cc/ecl_cc.hpp"
-#include "algos/gc/ecl_gc.hpp"
-#include "algos/mis/ecl_mis.hpp"
-#include "algos/mst/ecl_mst.hpp"
-#include "algos/scc/ecl_scc.hpp"
-#include "gen/suite.hpp"
 #include "graph/cache.hpp"
-#include "graph/io.hpp"
 #include "graph/reorder.hpp"
-#include "graph/transforms.hpp"
 #include "sim/cache.hpp"
 #include "profile/session.hpp"
 #include "sim/device.hpp"
@@ -23,23 +14,6 @@
 namespace eclp::serve {
 
 namespace {
-
-/// 32-hex content fingerprint of a solution vector (same 128-bit mix the
-/// graph cache keys use) — the cheap stand-in for shipping whole label
-/// arrays through response files.
-template <typename T>
-std::string checksum_of(const std::vector<T>& v) {
-  graph::CacheKey key;
-  key.mix(std::string_view(reinterpret_cast<const char*>(v.data()),
-                           v.size() * sizeof(T)));
-  return key.hex();
-}
-
-std::string summary_line(const char* fmt, auto... args) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  return buf;
-}
 
 /// Request ids become artifact file names; keep them path-safe.
 std::string sanitize_for_filename(const std::string& id) {
@@ -83,10 +57,9 @@ Server::Server(ServerOptions options)
     inst_.queue_peak = &m.gauge("serve.queue.peak");
     inst_.inflight = &m.gauge("serve.inflight");
     inst_.wave_us = &m.histogram("serve.wave_us");
-    for (const Algo a :
-         {Algo::kCc, Algo::kGc, Algo::kMis, Algo::kMst, Algo::kScc}) {
-      inst_.latency_us[static_cast<usize>(a)] =
-          &m.histogram(std::string("serve.latency_us.") + algo_name(a));
+    for (const algos::Entry& e : algos::entries()) {
+      inst_.latency_us.push_back(
+          &m.histogram(std::string("serve.latency_us.") + e.name));
     }
     graphs_.bind_metrics(m);
   }
@@ -120,7 +93,7 @@ std::future<Response> Server::submit(Request req) {
     Response r;
     r.id = req.id;
     r.algo = req.algo;
-    r.graph = req.graph_label();
+    r.graph = req.label();
     r.status = Status::kRejected;
     r.error = "queue full (" + std::to_string(pending_.size()) +
               " pending, bound " + std::to_string(options_.max_queue) + ")";
@@ -135,40 +108,27 @@ std::future<Response> Server::submit(Request req) {
     p.set_value(std::move(r));
     return p.get_future();
   }
-  stats_.accepted++;
-  if (inst_.accepted != nullptr) inst_.accepted->inc();
-  Job job;
-  job.request = std::move(req);
-  job.submit_ns = now_ns();
-  admit_locked(job);
-  std::future<Response> f = job.promise.get_future();
-  pending_.push_back(std::move(job));
-  lk.unlock();
-  pending_cv_.notify_one();
-  return f;
+  return admit(lk, std::move(req));
 }
 
 std::future<Response> Server::enqueue(Request req) {
   std::unique_lock<std::mutex> lk(mutex_);
   space_cv_.wait(lk, [&] { return pending_.size() < options_.max_queue; });
   stats_.submitted++;
-  stats_.accepted++;
   if (inst_.submitted != nullptr) inst_.submitted->inc();
+  return admit(lk, std::move(req));
+}
+
+/// Shared admission (caller holds `lk` on mutex_; released here): accepted
+/// and queue depth/high-water accounting, the "admitted" trace event, and
+/// the push that wakes the dispatcher.
+std::future<Response> Server::admit(std::unique_lock<std::mutex>& lk,
+                                    Request req) {
+  stats_.accepted++;
   if (inst_.accepted != nullptr) inst_.accepted->inc();
   Job job;
   job.request = std::move(req);
   job.submit_ns = now_ns();
-  admit_locked(job);
-  std::future<Response> f = job.promise.get_future();
-  pending_.push_back(std::move(job));
-  lk.unlock();
-  pending_cv_.notify_one();
-  return f;
-}
-
-/// Shared admission bookkeeping (caller holds mutex_, job not yet queued):
-/// queue depth/high-water accounting and the "admitted" trace event.
-void Server::admit_locked(Job& job) {
   stats_.queue_depth = pending_.size() + 1;
   if (stats_.queue_depth > stats_.queue_peak) {
     stats_.queue_peak = stats_.queue_depth;
@@ -184,9 +144,14 @@ void Server::admit_locked(Job& job) {
     job.trace = options_.trace->open(job.request.id);
     json::Value fields = json::Value::object();
     fields.set("algo", algo_name(job.request.algo));
-    fields.set("graph", job.request.graph_label());
+    fields.set("graph", job.request.label());
     options_.trace->emit(job.trace, "admitted", std::move(fields));
   }
+  std::future<Response> f = job.promise.get_future();
+  pending_.push_back(std::move(job));
+  lk.unlock();
+  pending_cv_.notify_one();
+  return f;
 }
 
 std::vector<Response> Server::serve(std::vector<Request> requests) {
@@ -231,7 +196,7 @@ void Server::dispatcher_main() {
 }
 
 std::string Server::graph_key(const Request& req) {
-  const bool want_directed = req.algo == Algo::kScc;
+  const algos::Entry& algo = algos::entry(req.algo);
   graph::CacheKey key;
   key.mix("eclp-serve-graph-v1");
   if (!req.input.empty()) {
@@ -242,8 +207,8 @@ std::string Server::graph_key(const Request& req) {
     // it stays content-addressed by file bytes.
     key.mix("file").mix(req.file).mix_u64(req.directed ? 1 : 0);
   }
-  key.mix_u64(want_directed ? 1 : 0);
-  key.mix_u64(req.algo == Algo::kMst ? req.weights_seed : 0);
+  key.mix_u64(algo.wants_directed ? 1 : 0);
+  key.mix_u64(algo.wants_weights ? req.weights_seed : 0);
   // A reordered graph must never alias a natural-order pool entry; canonical
   // form so "random" and "random:1" share one entry. The LLC spec does not
   // change the graph bytes, but it changes every modeled result computed on
@@ -253,43 +218,18 @@ std::string Server::graph_key(const Request& req) {
   return key.hex();
 }
 
-graph::Csr Server::build_graph(const Request& req) const {
-  const bool want_directed = req.algo == Algo::kScc;
-  graph::Csr g;
-  if (!req.input.empty()) {
-    g = gen::find_input(req.input).make(req.scale);
-  } else {
-    g = graph::load_any(req.file, want_directed || req.directed);
-  }
-  // Plain CheckFailure (no source location): this message reaches response
-  // files pinned by goldens, so it must not shift with code edits.
-  if (want_directed && !g.directed()) {
-    throw CheckFailure("request " + req.id +
-                       ": scc needs a directed graph, " + req.graph_label() +
-                       " is undirected");
-  }
-  if (!want_directed && g.directed()) g = graph::symmetrize(g);
-  // Weights before reordering: with_random_weights hashes endpoint ids, so
-  // the weights are permuted with the graph and every reorder of one input
-  // solves an isomorphic weighted problem.
-  if (req.algo == Algo::kMst && !g.weighted()) {
-    g = graph::with_random_weights(g, req.weights_seed);
-  }
-  g = graph::apply_reorder(g, graph::ReorderSpec::parse(req.reorder));
-  return g;
-}
-
 Response Server::execute(const Job& job) {
   const Request& req = job.request;
   Response r;
   r.id = req.id;
   r.algo = req.algo;
-  r.graph = req.graph_label();
+  r.graph = req.label();
   if (inst_.inflight != nullptr) inst_.inflight->add(1);
   if (job.traced) options_.trace->emit(job.trace, "started");
   try {
-    graph::Pool::Pin pin =
-        graphs_.acquire(graph_key(req), [&] { return build_graph(req); });
+    graph::Pool::Pin pin = graphs_.acquire(graph_key(req), [&] {
+      return algos::prepare(algos::entry(req.algo), req, "request " + req.id);
+    });
     r.pool_hit = pin.was_hit();
     if (job.traced) {
       json::Value fields = json::Value::object();
@@ -315,7 +255,7 @@ Response Server::execute(const Job& job) {
       session->set_meta("tool", "eclp-serve");
       session->set_meta("request", req.id);
       session->set_meta("algo", algo_name(req.algo));
-      session->set_meta("graph", req.graph_label());
+      session->set_meta("graph", req.label());
       session->set_meta("seed", std::to_string(req.seed));
       if (!req.reorder.empty()) session->set_meta("reorder", req.reorder);
       if (cost.cache.enabled) {
@@ -330,58 +270,11 @@ Response Server::execute(const Job& job) {
       }
     }
 
-    bool verified = true;
-    switch (req.algo) {
-      case Algo::kCc: {
-        const auto res = algos::cc::run(dev, g);
-        usize components = 0;
-        for (vidx v = 0; v < g.num_vertices(); ++v) {
-          components += (res.labels[v] == v);
-        }
-        r.summary = summary_line("CC: %zu components", components);
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.labels);
-        if (req.verify) verified = algos::cc::verify(g, res.labels);
-        break;
-      }
-      case Algo::kGc: {
-        const auto res = algos::gc::run(dev, g);
-        r.summary = summary_line(
-            "GC: %u colors in %llu rounds", res.num_colors,
-            static_cast<unsigned long long>(res.host_iterations));
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.colors);
-        if (req.verify) verified = algos::gc::verify(g, res.colors);
-        break;
-      }
-      case Algo::kMis: {
-        const auto res = algos::mis::run(dev, g);
-        r.summary = summary_line("MIS: |S| = %zu", res.set_size);
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.status);
-        if (req.verify) verified = algos::mis::verify(g, res.status);
-        break;
-      }
-      case Algo::kMst: {
-        const auto res = algos::mst::run(dev, g);
-        r.summary = summary_line(
-            "MST: weight %llu over %zu edges",
-            static_cast<unsigned long long>(res.total_weight), res.mst_edges);
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.in_mst);
-        if (req.verify) verified = algos::mst::verify(g, res);
-        break;
-      }
-      case Algo::kScc: {
-        const auto res = algos::scc::run(dev, g);
-        r.summary = summary_line("SCC: %zu components in m = %u rounds",
-                                 res.num_sccs, res.outer_iterations);
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.scc_id);
-        if (req.verify) verified = algos::scc::verify(g, res.scc_id);
-        break;
-      }
-    }
+    algos::Outcome out = algos::entry(req.algo).run(dev, g);
+    r.summary = std::move(out.summary);
+    r.modeled_cycles = out.modeled_cycles;
+    r.checksum = std::move(out.checksum);
+    const bool verified = !req.verify || out.verify();
     r.llc_hits = dev.llc_hits();
     r.llc_misses = dev.llc_misses();
     // The slow-request hook decides *before* the session is torn down:
@@ -405,7 +298,7 @@ Response Server::execute(const Job& job) {
     r.error = e.what();
   }
   r.wall_ms = static_cast<double>(now_ns() - job.submit_ns) / 1e6;
-  if (inst_.latency_us[static_cast<usize>(req.algo)] != nullptr) {
+  if (!inst_.latency_us.empty()) {
     inst_.latency_us[static_cast<usize>(req.algo)]->observe(
         static_cast<u64>(r.wall_ms * 1e3));
   }

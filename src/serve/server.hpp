@@ -25,7 +25,6 @@
 // degrades by rejecting, not by queue growth.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <future>
 #include <memory>
@@ -125,7 +124,7 @@ class Server {
 
   /// The pool key of a request's algorithm-ready graph: source (suite
   /// name + scale, or file path), directedness as the algorithm wants it,
-  /// and the MST weight attachment. Exposed for tests.
+  /// and the weights it wants. Exposed for tests.
   static std::string graph_key(const Request& req);
 
  private:
@@ -153,14 +152,13 @@ class Server {
     metrics::Gauge* queue_peak = nullptr;
     metrics::Gauge* inflight = nullptr;
     metrics::Histogram* wave_us = nullptr;
-    /// Per-algorithm request latency, indexed by Algo.
-    std::array<metrics::Histogram*, 5> latency_us = {};
+    /// Per-algorithm request latency, indexed by Algo (empty when off).
+    std::vector<metrics::Histogram*> latency_us;
   };
 
   void dispatcher_main();
-  void admit_locked(Job& job);
+  std::future<Response> admit(std::unique_lock<std::mutex>& lk, Request req);
   Response execute(const Job& job);
-  graph::Csr build_graph(const Request& req) const;
   u64 now_ns() const { return clock_(); }
 
   ServerOptions options_;

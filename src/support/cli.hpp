@@ -5,11 +5,13 @@
 // default configuration.
 #pragma once
 
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "support/check.hpp"
 #include "support/types.hpp"
 
 namespace eclp {
@@ -46,3 +48,16 @@ class Cli {
 };
 
 }  // namespace eclp
+
+/// Defines a tool's main() around `int body(int, char**)`: a CheckFailure
+/// (bad input) becomes "<tool>: <message>" on stderr and exit code 2
+/// instead of an abort.
+#define ECLP_TOOL_MAIN(tool, body)                      \
+  int main(int argc, char** argv) {                     \
+    try {                                               \
+      return body(argc, argv);                          \
+    } catch (const ::eclp::CheckFailure& e) {           \
+      std::fprintf(stderr, "%s: %s\n", tool, e.what()); \
+      return 2;                                         \
+    }                                                   \
+  }

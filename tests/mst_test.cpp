@@ -104,6 +104,20 @@ TEST(EclMst, FilterDisabledStillCorrect) {
   EXPECT_EQ(res.total_weight, reference_total_weight(g));
 }
 
+TEST(EclMst, RoundsCountedWithoutIterationMetrics) {
+  const auto g = weighted(gen::clique_union(2000, 900, 2, 7, 3), 3);
+  sim::Device plain_dev;
+  const auto plain = run(plain_dev, g);
+  EXPECT_TRUE(plain.iterations.empty());
+  sim::Device recorded_dev;
+  Options opt;
+  opt.record_iteration_metrics = true;
+  const auto recorded = run(recorded_dev, g, opt);
+  EXPECT_EQ(plain.rounds, recorded.iterations.size());
+  EXPECT_EQ(plain.rounds, recorded.rounds);
+  EXPECT_EQ(plain.modeled_cycles, recorded.modeled_cycles);
+}
+
 TEST(EclMst, IterationMetricsRecordedWhenAsked) {
   const auto g = weighted(gen::clique_union(2000, 900, 2, 7, 3), 3);
   sim::Device dev;

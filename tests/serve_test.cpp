@@ -25,12 +25,16 @@
 #include <vector>
 
 #include "algos/cc/ecl_cc.hpp"
+#include "algos/gc/ecl_gc.hpp"
 #include "algos/mis/ecl_mis.hpp"
+#include "algos/mst/ecl_mst.hpp"
+#include "algos/scc/ecl_scc.hpp"
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "graph/builder.hpp"
 #include "graph/cache.hpp"
 #include "graph/pool.hpp"
+#include "graph/transforms.hpp"
 #include "serve/server.hpp"
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
@@ -329,16 +333,22 @@ void expect_matches_golden(const std::string& name,
 /// A served request must be bit-identical to the same run issued directly
 /// against a fresh deterministic Device — serving adds concurrency, not
 /// semantics. (The one-shot CLI is this direct path; tests/serve_smoke
-/// covers the actual binary.)
+/// covers the actual binary.) The direct side calls each algorithm and
+/// prepares each graph by hand, not through algos/registry, so it stays an
+/// independent reference for the server's dispatch.
 TEST(Server, ServedResultMatchesDirectRun) {
   serve::Server server;
   auto responses = server.serve({
       make_request("cc", serve::Algo::kCc, "rmat16.sym"),
       make_request("mis", serve::Algo::kMis, "internet", 7),
+      make_request("gc", serve::Algo::kGc, "rmat16.sym"),
+      make_request("mst", serve::Algo::kMst, "USA-road-d.NY"),
+      make_request("scc", serve::Algo::kScc, "cold-flow"),
   });
-  ASSERT_EQ(responses.size(), 2u);
-  ASSERT_EQ(responses[0].status, serve::Status::kOk);
-  ASSERT_EQ(responses[1].status, serve::Status::kOk);
+  ASSERT_EQ(responses.size(), 5u);
+  for (const serve::Response& r : responses) {
+    ASSERT_EQ(r.status, serve::Status::kOk) << r.id << ": " << r.error;
+  }
 
   {
     const auto g = gen::find_input("rmat16.sym").make(gen::Scale::kTiny);
@@ -353,6 +363,29 @@ TEST(Server, ServedResultMatchesDirectRun) {
     const auto res = algos::mis::run(dev, g);
     EXPECT_EQ(responses[1].modeled_cycles, res.modeled_cycles);
     EXPECT_EQ(responses[1].checksum, checksum_of(res.status));
+  }
+  {
+    const auto g = gen::find_input("rmat16.sym").make(gen::Scale::kTiny);
+    sim::Device dev(sim::CostModel{}, 0, sim::ScheduleMode::kDeterministic);
+    const auto res = algos::gc::run(dev, g);
+    EXPECT_EQ(responses[2].modeled_cycles, res.modeled_cycles);
+    EXPECT_EQ(responses[2].checksum, checksum_of(res.colors));
+  }
+  {
+    const auto g = graph::with_random_weights(
+        gen::find_input("USA-road-d.NY").make(gen::Scale::kTiny), 42);
+    sim::Device dev(sim::CostModel{}, 0, sim::ScheduleMode::kDeterministic);
+    const auto res = algos::mst::run(dev, g);
+    EXPECT_EQ(responses[3].modeled_cycles, res.modeled_cycles);
+    EXPECT_EQ(responses[3].checksum, checksum_of(res.in_mst));
+  }
+  {
+    const auto g = gen::find_input("cold-flow").make(gen::Scale::kTiny);
+    ASSERT_TRUE(g.directed());
+    sim::Device dev(sim::CostModel{}, 0, sim::ScheduleMode::kDeterministic);
+    const auto res = algos::scc::run(dev, g);
+    EXPECT_EQ(responses[4].modeled_cycles, res.modeled_cycles);
+    EXPECT_EQ(responses[4].checksum, checksum_of(res.scc_id));
   }
 }
 

@@ -14,7 +14,7 @@
 
 using namespace eclp;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   Cli cli;
   cli.add_flag("directed", "treat extension-ambiguous inputs as directed");
   cli.add_flag("symmetrize", "mirror all arcs before writing");
@@ -45,3 +45,5 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", cli.positional()[1].c_str());
   return 0;
 }
+
+ECLP_TOOL_MAIN("eclp-convert", run)

@@ -17,7 +17,7 @@
 
 using namespace eclp;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   Cli cli;
   cli.add_flag("list", "list the available suite inputs");
   cli.add_option("input", "suite input name", "");
@@ -67,3 +67,5 @@ int main(int argc, char** argv) {
               g.weighted() ? " (weighted)" : "", cli.get("out").c_str());
   return 0;
 }
+
+ECLP_TOOL_MAIN("eclp-gen", run)

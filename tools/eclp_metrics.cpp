@@ -137,7 +137,7 @@ int diff(const json::Value& base, const json::Value& cand,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   Cli cli;
   cli.add_option("check",
                  "validate every snapshot in this JSONL file and exit", "");
@@ -156,31 +156,28 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  try {
-    if (!cli.get("check").empty()) {
-      const auto snapshots = load_snapshots(cli.get("check"));
-      std::printf("%s: %zu valid eclp.metrics snapshot%s\n",
-                  cli.get("check").c_str(), snapshots.size(),
-                  snapshots.size() == 1 ? "" : "s");
-      return 0;
-    }
+  if (!cli.get("check").empty()) {
+    const auto snapshots = load_snapshots(cli.get("check"));
+    std::printf("%s: %zu valid eclp.metrics snapshot%s\n",
+                cli.get("check").c_str(), snapshots.size(),
+                snapshots.size() == 1 ? "" : "s");
+    return 0;
+  }
 
-    const auto& files = cli.positional();
-    if (files.size() == 1) {
-      render(load_snapshots(files[0]).back());
-      return 0;
-    }
-    if (files.size() != 2) {
-      std::fprintf(stderr,
-                   "usage: eclp-metrics <metrics.jsonl> | <base.jsonl> "
-                   "<cand.jsonl> | --check <metrics.jsonl>\n");
-      return 2;
-    }
-    return diff(load_snapshots(files[0]).back(),
-                load_snapshots(files[1]).back(),
-                cli.get_double("counter-tol"), cli.get_double("latency-tol"));
-  } catch (const CheckFailure& e) {
-    std::fprintf(stderr, "eclp-metrics: %s\n", e.what());
+  const auto& files = cli.positional();
+  if (files.size() == 1) {
+    render(load_snapshots(files[0]).back());
+    return 0;
+  }
+  if (files.size() != 2) {
+    std::fprintf(stderr,
+                 "usage: eclp-metrics <metrics.jsonl> | <base.jsonl> "
+                 "<cand.jsonl> | --check <metrics.jsonl>\n");
     return 2;
   }
+  return diff(load_snapshots(files[0]).back(),
+              load_snapshots(files[1]).back(),
+              cli.get_double("counter-tol"), cli.get_double("latency-tol"));
 }
+
+ECLP_TOOL_MAIN("eclp-metrics", run)

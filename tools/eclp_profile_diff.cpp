@@ -36,7 +36,7 @@ json::Value load_json(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   Cli cli;
   cli.add_option("cycle-tol",
                  "allowed growth of modeled-cycle metrics, percent", "2");
@@ -54,37 +54,34 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  try {
-    if (!cli.get("check").empty()) {
-      const json::Value doc = load_json(cli.get("check"));
-      profile::validate_profile(doc);
-      std::printf("%s: valid eclp.profile v%llu (%zu spans, %zu kernels)\n",
-                  cli.get("check").c_str(),
-                  static_cast<unsigned long long>(doc.at("version").as_u64()),
-                  doc.at("spans").items().size(),
-                  doc.at("kernels").items().size());
-      return 0;
-    }
+  if (!cli.get("check").empty()) {
+    const json::Value doc = load_json(cli.get("check"));
+    profile::validate_profile(doc);
+    std::printf("%s: valid eclp.profile v%llu (%zu spans, %zu kernels)\n",
+                cli.get("check").c_str(),
+                static_cast<unsigned long long>(doc.at("version").as_u64()),
+                doc.at("spans").items().size(),
+                doc.at("kernels").items().size());
+    return 0;
+  }
 
-    const auto& files = cli.positional();
-    if (files.size() != 2) {
-      std::fprintf(stderr,
-                   "usage: eclp-profile-diff <base.json> <candidate.json> "
-                   "(or --check <profile.json>)\n");
-      return 2;
-    }
-    profile::DiffOptions options;
-    options.cycle_tolerance_pct = cli.get_double("cycle-tol");
-    options.counter_tolerance_pct = cli.get_double("counter-tol");
-
-    const json::Value base = load_json(files[0]);
-    const json::Value cand = load_json(files[1]);
-    const profile::DiffReport report =
-        profile::diff_profiles(base, cand, options);
-    std::printf("%s", report.to_string(cli.get_flag("all")).c_str());
-    return report.regressions() == 0 ? 0 : 1;
-  } catch (const CheckFailure& e) {
-    std::fprintf(stderr, "eclp-profile-diff: %s\n", e.what());
+  const auto& files = cli.positional();
+  if (files.size() != 2) {
+    std::fprintf(stderr,
+                 "usage: eclp-profile-diff <base.json> <candidate.json> "
+                 "(or --check <profile.json>)\n");
     return 2;
   }
+  profile::DiffOptions options;
+  options.cycle_tolerance_pct = cli.get_double("cycle-tol");
+  options.counter_tolerance_pct = cli.get_double("counter-tol");
+
+  const json::Value base = load_json(files[0]);
+  const json::Value cand = load_json(files[1]);
+  const profile::DiffReport report =
+      profile::diff_profiles(base, cand, options);
+  std::printf("%s", report.to_string(cli.get_flag("all")).c_str());
+  return report.regressions() == 0 ? 0 : 1;
 }
+
+ECLP_TOOL_MAIN("eclp-profile-diff", run)

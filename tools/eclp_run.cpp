@@ -16,17 +16,10 @@
 #include <cstdlib>
 #include <memory>
 
-#include "algos/cc/ecl_cc.hpp"
-#include "graph/cache.hpp"
-#include "algos/gc/ecl_gc.hpp"
-#include "algos/mis/ecl_mis.hpp"
-#include "algos/mst/ecl_mst.hpp"
-#include "algos/scc/ecl_scc.hpp"
+#include "algos/registry.hpp"
 #include "gen/stream.hpp"
-#include "gen/suite.hpp"
-#include "graph/io.hpp"
+#include "graph/cache.hpp"
 #include "graph/reorder.hpp"
-#include "graph/transforms.hpp"
 #include "profile/session.hpp"
 #include "sim/trace.hpp"
 #include "support/cli.hpp"
@@ -38,49 +31,9 @@ using namespace eclp;
 
 namespace {
 
-graph::Csr obtain_graph(const Cli& cli, const std::string& algo) {
-  const bool want_directed = algo == "scc";
-  graph::Csr g;
-  if (!cli.get("graph").empty()) {
-    g = graph::load_any(cli.get("graph"), want_directed);
-  } else {
-    ECLP_CHECK_MSG(!cli.get("input").empty(),
-                   "pass --graph=<file> or --input=<suite name>");
-    g = gen::find_input(cli.get("input"))
-            .make(gen::parse_scale(cli.get("scale")));
-  }
-  if (!want_directed && g.directed()) {
-    std::printf("note: symmetrizing directed input for an undirected "
-                "algorithm\n");
-    g = graph::symmetrize(g);
-  }
-  ECLP_CHECK_MSG(!want_directed || g.directed(),
-                 "SCC needs a directed graph");
-  // MST weights must be attached BEFORE any reordering: with_random_weights
-  // hashes endpoint ids, so weighting first and permuting the weights with
-  // the graph keeps results isomorphic across every --reorder choice.
-  if (algo == "mst" && !g.weighted()) {
-    g = graph::with_random_weights(g,
-                                   static_cast<u64>(cli.get_int("weights")));
-    std::printf("note: attached random weights (seed %lld)\n",
-                static_cast<long long>(cli.get_int("weights")));
-  }
-  const auto spec = graph::ReorderSpec::parse(cli.get("reorder"));
-  if (!spec.is_natural()) {
-    g = graph::apply_reorder(g, spec);
-    std::printf("note: reordered vertices (%s); locality %.4f, "
-                "block affinity %.4f\n",
-                spec.canonical().c_str(), graph::locality_score(g),
-                graph::block_affinity(g, 256));
-  }
-  return g;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli;
-  cli.add_option("algo", "cc | gc | mis | mst | scc", "cc");
+  cli.add_option("algo", algos::algo_names(), "cc");
   cli.add_option("graph", "graph file (.eclg/.mtx/.gr/.col/.el)", "");
   cli.add_option("input", "suite input name (alternative to --graph)", "");
   cli.add_option("scale",
@@ -88,7 +41,7 @@ int main(int argc, char** argv) {
                  "through the chunked generator pipeline)",
                  "small");
   cli.add_option("seed", "device seed (shuffled schedule if nonzero)", "0");
-  cli.add_option("weights", "random-weight seed for MST on unweighted input",
+  cli.add_option("weights", "seed of random weights for unweighted input",
                  "42");
   cli.add_option("sim-threads",
                  "host worker threads for block-parallel simulation "
@@ -131,7 +84,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string algo = cli.get("algo");
+  // Resolved first, so an unknown name fails before anything is written.
+  const algos::Entry& algo = algos::entry(algos::parse_algo(cli.get("algo")));
+  algos::GraphSource src;
+  src.file = cli.get("graph");
+  src.input = cli.get("input");
+  ECLP_CHECK_MSG(!src.label().empty(),
+                 "pass --graph=<file> or --input=<suite name>");
+  if (src.file.empty()) src.scale = gen::parse_scale(cli.get("scale"));
+  src.weights_seed = static_cast<u64>(cli.get_int("weights"));
+  src.reorder = cli.get("reorder");
+  const auto spec = graph::ReorderSpec::parse(src.reorder);
   if (!cli.get("sim-threads").empty()) {
     sim::set_sim_threads(static_cast<u32>(cli.get_int("sim-threads")));
   }
@@ -162,12 +125,9 @@ int main(int argc, char** argv) {
   if (!profile_path.empty()) {
     session = std::make_unique<profile::Session>(dev);
     session->set_meta("tool", "eclp-run");
-    session->set_meta("algo", algo);
+    session->set_meta("algo", algo.name);
     session->set_meta("seed", cli.get("seed"));
-    session->set_meta("graph", !cli.get("graph").empty()
-                                   ? cli.get("graph")
-                                   : cli.get("input"));
-    const auto spec = graph::ReorderSpec::parse(cli.get("reorder"));
+    session->set_meta("graph", src.label());
     if (!spec.is_natural()) session->set_meta("reorder", spec.canonical());
     if (cost.cache.enabled) {
       session->set_meta("llc", sim::cache_config_label(cost.cache));
@@ -176,87 +136,18 @@ int main(int argc, char** argv) {
   }
 
   Timer wall;
-  if (algo == "cc") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::cc::run(dev, g);
-    std::printf("CC: %zu components, %llu modeled cycles, %.0f ms wall\n",
-                [&] {
-                  usize c = 0;
-                  for (vidx v = 0; v < g.num_vertices(); ++v) {
-                    c += (res.labels[v] == v);
-                  }
-                  return c;
-                }(),
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    std::printf("init traversals %llu over %llu vertices (ratio %.2f)\n",
-                static_cast<unsigned long long>(
-                    res.profile.init_neighbors_traversed),
-                static_cast<unsigned long long>(
-                    res.profile.vertices_initialized),
-                static_cast<double>(res.profile.init_neighbors_traversed) /
-                    static_cast<double>(res.profile.vertices_initialized));
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::cc::verify(g, res.labels), "CC verify FAILED");
-      std::printf("verified against BFS reference.\n");
-    }
-  } else if (algo == "gc") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::gc::run(dev, g);
-    std::printf("GC: %u colors in %llu rounds, %llu modeled cycles, "
-                "%.0f ms wall\n",
-                res.num_colors,
-                static_cast<unsigned long long>(res.host_iterations),
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::gc::verify(g, res.colors), "GC verify FAILED");
-      std::printf("verified: proper coloring.\n");
-    }
-  } else if (algo == "mis") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::mis::run(dev, g);
-    std::printf("MIS: |S| = %zu, iterations avg %.2f max %.0f, %llu modeled "
-                "cycles, %.0f ms wall\n",
-                res.set_size, res.metrics.iterations.mean,
-                res.metrics.iterations.max,
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::mis::verify(g, res.status), "MIS verify FAILED");
-      std::printf("verified: independent and maximal.\n");
-    }
-  } else if (algo == "mst") {
-    const auto g = obtain_graph(cli, algo);
-    algos::mst::Options opt;
-    opt.record_iteration_metrics = true;
-    const auto res = algos::mst::run(dev, g, opt);
-    std::printf("MST: weight %llu over %zu edges, %zu iterations, %llu "
-                "modeled cycles, %.0f ms wall\n",
-                static_cast<unsigned long long>(res.total_weight),
-                res.mst_edges, res.iterations.size(),
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::mst::verify(g, res), "MST verify FAILED");
-      std::printf("verified against Kruskal.\n");
-    }
-  } else if (algo == "scc") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::scc::run(dev, g);
-    std::printf("SCC: %zu components in m = %u rounds, %llu modeled cycles, "
-                "%.0f ms wall\n",
-                res.num_sccs, res.outer_iterations,
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::scc::verify(g, res.scc_id), "SCC verify FAILED");
-      std::printf("verified against Tarjan.\n");
-    }
-  } else {
-    std::printf("unknown --algo=%s (cc | gc | mis | mst | scc)\n",
-                algo.c_str());
-    return 2;
+  const graph::Csr g = algos::prepare(algo, src, {}, [](const auto& note) {
+    std::printf("note: %s\n", note.c_str());
+  });
+  const algos::Outcome out = algo.run(dev, g);
+  std::printf("%s%s, %llu modeled cycles, %.0f ms wall\n",
+              out.summary.c_str(), out.detail.c_str(),
+              static_cast<unsigned long long>(out.modeled_cycles),
+              wall.milliseconds());
+  if (!out.note.empty()) std::printf("%s\n", out.note.c_str());
+  if (cli.get_flag("verify")) {
+    ECLP_CHECK_MSG(out.verify(), algo.name << " verify FAILED");
+    std::printf("%s\n", algo.verified);
   }
 
   if (cli.get_flag("timeline")) {
@@ -287,3 +178,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+ECLP_TOOL_MAIN("eclp-run", run)

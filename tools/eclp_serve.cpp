@@ -29,7 +29,7 @@
 
 using namespace eclp;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   Cli cli;
   cli.add_option("requests", "JSONL request file (see docs/SERVING.md)", "");
   cli.add_option("out", "results JSONL destination (default: stdout)", "");
@@ -211,3 +211,5 @@ int main(int argc, char** argv) {
   }
   return stats.failed == 0 ? 0 : 1;
 }
+
+ECLP_TOOL_MAIN("eclp-serve", run)
