@@ -20,26 +20,11 @@ struct Header {
   u64 edges = 0;
 };
 
-std::string slurp(std::istream& is) {
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return std::move(ss).str();
-}
-
-/// Consume one line off the front of `text` (no '\n', no trailing '\r').
-std::string_view next_line(std::string_view& text) {
-  const usize nl = text.find('\n');
-  std::string_view line = text.substr(0, nl);
-  text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return line;
-}
-
 /// Skip "c" comment lines and parse the "p <kind> n m" line; `text` is
 /// left pointing at the first body line.
 Header read_header(std::string_view& text, const std::string& expected_kind) {
   while (!text.empty()) {
-    std::string_view line = next_line(text);
+    std::string_view line = detail::next_line(text);
     if (line.empty() || line[0] == 'c') continue;
     ECLP_CHECK_MSG(line[0] == 'p', "dimacs: expected 'p' line, got: " << line);
     std::istringstream ls{std::string(line)};
@@ -116,7 +101,7 @@ Csr parse_dimacs_sp(std::string_view text, bool symmetrize) {
 }
 
 Csr read_dimacs_sp(std::istream& is, bool symmetrize) {
-  return parse_dimacs_sp(slurp(is), symmetrize);
+  return parse_dimacs_sp(detail::slurp(is), symmetrize);
 }
 
 void write_dimacs_sp(const Csr& g, std::ostream& os) {
@@ -157,7 +142,7 @@ Csr parse_dimacs_col(std::string_view text) {
 }
 
 Csr read_dimacs_col(std::istream& is) {
-  return parse_dimacs_col(slurp(is));
+  return parse_dimacs_col(detail::slurp(is));
 }
 
 void write_dimacs_col(const Csr& g, std::ostream& os) {

@@ -12,6 +12,7 @@
 #include "graph/cache.hpp"
 #include "graph/dimacs.hpp"
 #include "graph/text_parse.hpp"
+#include "support/file.hpp"
 #include "support/parallel_for.hpp"
 
 namespace eclp::graph {
@@ -50,27 +51,6 @@ std::vector<T> read_vec(std::istream& is) {
           static_cast<std::streamsize>(n * sizeof(T)));
   ECLP_CHECK_MSG(is.good(), "binary graph: truncated array");
   return v;
-}
-
-std::string slurp(std::istream& is) {
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return std::move(ss).str();
-}
-
-std::string slurp_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  ECLP_CHECK_MSG(is.is_open(), "cannot open " << path);
-  return slurp(is);
-}
-
-/// Consume one line off the front of `text` (no '\n' in the result).
-std::string_view next_line(std::string_view& text) {
-  const usize nl = text.find('\n');
-  std::string_view line = text.substr(0, nl);
-  text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return line;
 }
 
 }  // namespace
@@ -145,7 +125,7 @@ Csr parse_matrix_market(std::string_view text) {
 
   std::string_view rest = text;
   ECLP_CHECK_MSG(!rest.empty(), "matrix market: empty stream");
-  std::istringstream head{std::string(next_line(rest))};
+  std::istringstream head{std::string(detail::next_line(rest))};
   std::string banner, object, format, field, symmetry;
   head >> banner >> object >> format >> field >> symmetry;
   ECLP_CHECK_MSG(banner == "%%MatrixMarket", "matrix market: bad banner");
@@ -163,7 +143,7 @@ Csr parse_matrix_market(std::string_view text) {
   u64 rows = 0, cols = 0, entries = 0;
   bool saw_size = false;
   while (!rest.empty()) {
-    std::string_view line = next_line(rest);
+    std::string_view line = detail::next_line(rest);
     if (line.empty() || line[0] == '%') continue;
     ECLP_CHECK_MSG(parse_u64(line, rows) && parse_u64(line, cols) &&
                        parse_u64(line, entries),
@@ -216,7 +196,7 @@ Csr parse_matrix_market(std::string_view text) {
 }
 
 Csr read_matrix_market(std::istream& is) {
-  return parse_matrix_market(slurp(is));
+  return parse_matrix_market(detail::slurp(is));
 }
 
 Csr parse_edge_list(std::string_view text, bool directed, vidx num_vertices) {
@@ -275,7 +255,7 @@ Csr parse_edge_list(std::string_view text, bool directed, vidx num_vertices) {
 }
 
 Csr read_edge_list(std::istream& is, bool directed, vidx num_vertices) {
-  return parse_edge_list(slurp(is), directed, num_vertices);
+  return parse_edge_list(detail::slurp(is), directed, num_vertices);
 }
 
 namespace {
@@ -303,7 +283,7 @@ Csr parse_by_extension(const std::string& ext, std::string_view text,
 Csr load_any(const std::string& path, bool directed) {
   const std::string ext = extension_of(path);
   if (ext == "eclg") return load_binary(path);  // already the cached form
-  const std::string text = slurp_file(path);
+  const std::string text = read_file(path);
   if (cache_dir().empty()) return parse_by_extension(ext, text, directed);
   // Content-addressed: the key covers the bytes (not the path — renames
   // and copies still hit) plus everything else that shapes the CSR.

@@ -1,6 +1,6 @@
 // Internal helpers for chunk-parallel text-format parsing.
 //
-// The readers in io.cpp / dimacs.cpp slurp their input into one buffer,
+// The readers in io.cpp / dimacs.cpp read their input into one buffer,
 // split it into byte ranges aligned to line boundaries (one chunk per
 // build-pool worker), parse each chunk into a private edge buffer, and
 // append the buffers in chunk order. Concatenating the chunks in order
@@ -13,12 +13,31 @@
 #pragma once
 
 #include <charconv>
+#include <istream>
+#include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "support/types.hpp"
 
 namespace eclp::graph::detail {
+
+/// The rest of `is` as one buffer (the stream overloads of the readers).
+inline std::string slurp(std::istream& is) {
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return std::move(ss).str();
+}
+
+/// Consume one line off the front of `text` (no '\n', no trailing '\r').
+inline std::string_view next_line(std::string_view& text) {
+  const usize nl = text.find('\n');
+  std::string_view line = text.substr(0, nl);
+  text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
 
 /// Split `text` into at most `max_chunks` contiguous ranges whose
 /// boundaries fall on line starts. Concatenating the ranges in order

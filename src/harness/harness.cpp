@@ -1,13 +1,15 @@
 #include "harness/harness.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 
 #include "gen/stream.hpp"
 #include "graph/cache.hpp"
+#include "support/file.hpp"
+#include "support/json.hpp"
 #include "support/parallel_for.hpp"
 #include "support/stats.hpp"
 
@@ -15,75 +17,20 @@ namespace eclp::harness {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Render a table cell as a JSON value: cells that are numbers under the
-/// table formatters (thousands separators stripped) come back out as
-/// numbers, everything else as a string.
-std::string json_cell(const std::string& cell) {
+/// A table cell as a JSON value: cells that parse completely as a finite
+/// number once thousands separators are removed are stored as numbers,
+/// everything else as a string.
+json::Value json_cell(const std::string& cell) {
   std::string stripped;
   for (const char c : cell) {
     if (c != ',') stripped += c;
   }
   if (!stripped.empty()) {
     char* end = nullptr;
-    std::strtod(stripped.c_str(), &end);
-    if (end != nullptr && *end == '\0') return stripped;
+    const double value = std::strtod(stripped.c_str(), &end);
+    if (*end == '\0' && std::isfinite(value)) return value;
   }
-  return '"' + json_escape(cell) + '"';
-}
-
-/// Rewrite ctx.json_path from the tables collected so far. The whole
-/// document is regenerated on every emit so a bench that exits between
-/// tables still leaves a valid artifact behind.
-void write_json(const BenchContext& ctx) {
-  std::ofstream os(ctx.json_path);
-  if (!os) {
-    std::cerr << "warning: cannot write " << ctx.json_path << '\n';
-    return;
-  }
-  os << "{\n  \"bench\": \"" << json_escape(ctx.bench_name) << "\",\n"
-     << "  \"tables\": [";
-  bool first_table = true;
-  for (const auto& [id, table] : ctx.json_tables) {
-    os << (first_table ? "\n" : ",\n");
-    first_table = false;
-    os << "    {\n      \"id\": \"" << json_escape(id) << "\",\n"
-       << "      \"title\": \"" << json_escape(table.title()) << "\",\n"
-       << "      \"rows\": [";
-    for (usize r = 0; r < table.rows(); ++r) {
-      os << (r == 0 ? "\n" : ",\n") << "        {";
-      const auto& row = table.row(r);
-      for (usize c = 0; c < table.cols(); ++c) {
-        os << (c == 0 ? "" : ", ") << '"' << json_escape(table.header()[c])
-           << "\": " << json_cell(row[c]);
-      }
-      os << '}';
-    }
-    os << "\n      ]\n    }";
-  }
-  os << "\n  ]\n}\n";
+  return cell;
 }
 
 }  // namespace
@@ -178,10 +125,28 @@ void emit(const BenchContext& ctx, const std::string& experiment_id,
           const Table& table) {
   std::cout << table.to_text() << '\n';
   emit_raw(ctx, experiment_id + ".csv", table.to_csv());
-  if (!ctx.json_path.empty()) {
-    ctx.json_tables.emplace_back(experiment_id, table);
-    write_json(ctx);
+  if (ctx.json_path.empty()) return;
+  // The whole document is regenerated on every emit so a bench that exits
+  // between tables still leaves a valid artifact behind.
+  ctx.json_tables.emplace_back(experiment_id, table);
+  json::Value tables = json::Value::array();
+  for (const auto& [id, t] : ctx.json_tables) {
+    json::Value rows = json::Value::array();
+    for (usize r = 0; r < t.rows(); ++r) {
+      json::Value& row = rows.push_back(json::Value::object());
+      for (usize c = 0; c < t.cols(); ++c) {
+        row.set(t.header()[c], json_cell(t.row(r)[c]));
+      }
+    }
+    json::Value& entry = tables.push_back(json::Value::object());
+    entry.set("id", id);
+    entry.set("title", t.title());
+    entry.set("rows", std::move(rows));
   }
+  json::Value doc = json::Value::object();
+  doc.set("bench", ctx.bench_name);
+  doc.set("tables", std::move(tables));
+  write_file(ctx.json_path, doc.dump(2) + "\n");
 }
 
 void emit_raw(const BenchContext& ctx, const std::string& file_name,
@@ -193,13 +158,8 @@ void emit_raw(const BenchContext& ctx, const std::string& file_name,
               << ec.message() << '\n';
     return;
   }
-  const auto path = std::filesystem::path(ctx.out_dir) / file_name;
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "warning: cannot write " << path << '\n';
-    return;
-  }
-  os << contents;
+  write_file((std::filesystem::path(ctx.out_dir) / file_name).string(),
+             contents);
 }
 
 void report_correlation(const std::string& label,

@@ -1,7 +1,8 @@
 #include "profile/diff.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 
 namespace eclp::profile {
@@ -53,6 +54,46 @@ const char* diff_status_name(DiffStatus status) {
   return "unknown";
 }
 
+void DiffReport::gate(std::string metric, double base, double cand,
+                      double tol_pct) {
+  DiffEntry e;
+  e.metric = std::move(metric);
+  e.base = base;
+  e.cand = cand;
+  e.delta_pct = base == 0.0 ? 0.0 : (cand - base) / base * 100.0;
+  if (cand > base) {
+    const bool within =
+        std::isinf(tol_pct) || (base != 0.0 && e.delta_pct <= tol_pct);
+    e.status = within ? DiffStatus::kOk : DiffStatus::kRegressed;
+  } else if (cand < base) {
+    e.status = DiffStatus::kImproved;
+  }
+  entries.push_back(std::move(e));
+}
+
+void DiffReport::gate_members(
+    const std::string& prefix, const std::string& suffix,
+    const json::Value& base, const json::Value& cand,
+    const std::function<double(const json::Value&)>& value,
+    const std::function<double(const std::string&)>& tol_pct) {
+  std::map<std::string, std::pair<const json::Value*, const json::Value*>>
+      sides;
+  for (const auto& [name, v] : base.members()) sides[name].first = &v;
+  for (const auto& [name, v] : cand.members()) sides[name].second = &v;
+  for (const auto& [name, pair] : sides) {
+    const auto& [b, c] = pair;
+    if (b == nullptr) {
+      entries.push_back({prefix + name, 0.0, value(*c), 0.0,
+                         DiffStatus::kAdded});
+    } else if (c == nullptr) {
+      entries.push_back({prefix + name, value(*b), 0.0, 0.0,
+                         DiffStatus::kRemoved});
+    } else {
+      gate(prefix + name + suffix, value(*b), value(*c), tol_pct(name));
+    }
+  }
+}
+
 u32 DiffReport::regressions() const {
   u32 n = 0;
   for (const DiffEntry& e : entries) {
@@ -66,9 +107,13 @@ std::string DiffReport::to_string(bool all) const {
   char line[256];
   for (const DiffEntry& e : entries) {
     if (!all && e.status == DiffStatus::kOk) continue;
-    std::snprintf(line, sizeof(line), "%-10s %-48s %14.0f -> %14.0f (%+.2f%%)\n",
+    char delta[32] = "new";  // growth from zero has no percentage
+    if (e.base != 0.0 || e.cand <= 0.0) {
+      std::snprintf(delta, sizeof(delta), "%+.2f%%", e.delta_pct);
+    }
+    std::snprintf(line, sizeof(line), "%-10s %-48s %14.0f -> %14.0f (%s)\n",
                   diff_status_name(e.status), e.metric.c_str(), e.base, e.cand,
-                  e.delta_pct);
+                  delta);
     out += line;
   }
   const u32 n = regressions();
@@ -158,37 +203,15 @@ DiffReport diff_profiles(const json::Value& base, const json::Value& cand,
   validate_profile(cand);
   DiffReport report;
 
-  const auto compare = [&](std::string metric, double b, double c,
-                           double tolerance_pct) {
-    DiffEntry e;
-    e.metric = std::move(metric);
-    e.base = b;
-    e.cand = c;
-    e.delta_pct = b == 0.0 ? 0.0 : (c - b) / b * 100.0;
-    if (c > b) {
-      // Growth from zero has no meaningful percentage; any growth beyond
-      // an absolute zero baseline regresses unless the tolerance is
-      // explicitly non-zero (which then admits everything from zero —
-      // documented behavior of percentage gates).
-      const bool within =
-          b == 0.0 ? tolerance_pct > 0.0 : e.delta_pct <= tolerance_pct;
-      e.status = within ? DiffStatus::kOk : DiffStatus::kRegressed;
-    } else if (c < b) {
-      e.status = DiffStatus::kImproved;
-    } else {
-      e.status = DiffStatus::kOk;
-    }
-    report.entries.push_back(std::move(e));
-  };
-
   const json::Value& bt = base.at("totals");
   const json::Value& ct = cand.at("totals");
-  compare("totals/modeled_cycles", bt.at("modeled_cycles").as_number(),
-          ct.at("modeled_cycles").as_number(), options.cycle_tolerance_pct);
-  compare("totals/launches", bt.at("launches").as_number(),
-          ct.at("launches").as_number(), options.counter_tolerance_pct);
-  compare("totals/atomics", bt.at("atomics").as_number(),
-          ct.at("atomics").as_number(), options.counter_tolerance_pct);
+  report.gate("totals/modeled_cycles", bt.at("modeled_cycles").as_number(),
+              ct.at("modeled_cycles").as_number(),
+              options.cycle_tolerance_pct);
+  report.gate("totals/launches", bt.at("launches").as_number(),
+              ct.at("launches").as_number(), options.counter_tolerance_pct);
+  report.gate("totals/atomics", bt.at("atomics").as_number(),
+              ct.at("atomics").as_number(), options.counter_tolerance_pct);
 
   const auto base_kernels = kernels_by_name(base);
   const auto cand_kernels = kernels_by_name(cand);
@@ -201,13 +224,14 @@ DiffReport diff_profiles(const json::Value& base, const json::Value& cand,
       continue;
     }
     const json::Value& ck = *it->second;
-    compare("kernel/" + name + "/modeled_cycles",
-            bk->at("modeled_cycles").as_number(),
-            ck.at("modeled_cycles").as_number(), options.cycle_tolerance_pct);
-    compare("kernel/" + name + "/launches", bk->at("launches").as_number(),
-            ck.at("launches").as_number(), options.counter_tolerance_pct);
-    compare("kernel/" + name + "/atomics", bk->at("atomics").as_number(),
-            ck.at("atomics").as_number(), options.counter_tolerance_pct);
+    report.gate("kernel/" + name + "/modeled_cycles",
+                bk->at("modeled_cycles").as_number(),
+                ck.at("modeled_cycles").as_number(),
+                options.cycle_tolerance_pct);
+    report.gate("kernel/" + name + "/launches", bk->at("launches").as_number(),
+                ck.at("launches").as_number(), options.counter_tolerance_pct);
+    report.gate("kernel/" + name + "/atomics", bk->at("atomics").as_number(),
+                ck.at("atomics").as_number(), options.counter_tolerance_pct);
     // Modeled-LLC misses are optional (emitted only when the cache
     // classified something); gate them whenever either side recorded any,
     // treating the absent side as zero. Hits are informational — more hits
@@ -215,10 +239,10 @@ DiffReport diff_profiles(const json::Value& base, const json::Value& cand,
     const json::Value* bm = bk->find("llc_misses");
     const json::Value* cm = ck.find("llc_misses");
     if (bm != nullptr || cm != nullptr) {
-      compare("kernel/" + name + "/llc_misses",
-              bm == nullptr ? 0.0 : bm->as_number(),
-              cm == nullptr ? 0.0 : cm->as_number(),
-              options.counter_tolerance_pct);
+      report.gate("kernel/" + name + "/llc_misses",
+                  bm == nullptr ? 0.0 : bm->as_number(),
+                  cm == nullptr ? 0.0 : cm->as_number(),
+                  options.counter_tolerance_pct);
     }
   }
   for (const auto& [name, ck] : cand_kernels) {
@@ -229,34 +253,16 @@ DiffReport diff_profiles(const json::Value& base, const json::Value& cand,
     }
   }
 
-  // Counters: union of both documents' names, name-ordered.
-  std::map<std::string, std::pair<const json::Value*, const json::Value*>>
-      counter_union;
-  for (const auto& [name, value] : base.at("counters").members()) {
-    counter_union[name].first = &value;
-  }
-  for (const auto& [name, value] : cand.at("counters").members()) {
-    counter_union[name].second = &value;
-  }
-  for (const auto& [name, sides] : counter_union) {
-    if (sides.first == nullptr) {
-      report.entries.push_back({"counter/" + name, 0.0,
-                                sides.second->as_number(), 0.0,
-                                DiffStatus::kAdded});
-    } else if (sides.second == nullptr) {
-      report.entries.push_back({"counter/" + name, sides.first->as_number(),
-                                0.0, 0.0, DiffStatus::kRemoved});
-    } else {
-      // llc.hits is informational: hit growth usually means *better*
-      // locality (llc.misses carries the regression gate), so it gets an
-      // effectively unlimited tolerance but still shows in the report.
-      const double tolerance = name == "llc.hits"
-                                   ? 1e18
-                                   : options.counter_tolerance_pct;
-      compare("counter/" + name, sides.first->as_number(),
-              sides.second->as_number(), tolerance);
-    }
-  }
+  // llc.hits is informational: hit growth usually means *better* locality
+  // (llc.misses carries the regression gate), so it is reported under an
+  // infinite tolerance, never gated.
+  report.gate_members(
+      "counter/", "", base.at("counters"), cand.at("counters"),
+      [](const json::Value& v) { return v.as_number(); },
+      [&](const std::string& name) {
+        return name == "llc.hits" ? std::numeric_limits<double>::infinity()
+                                  : options.counter_tolerance_pct;
+      });
 
   return report;
 }

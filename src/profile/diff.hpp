@@ -3,22 +3,29 @@
 // eclp_profile_diff (tools/) compares a candidate profile against a
 // baseline per-kernel and per-counter, with configurable tolerances, and
 // exits non-zero on regression. The comparison itself lives here as a
-// library so tests can gate without spawning processes.
+// library so tests can gate without spawning processes. DiffReport::gate
+// is the one tolerance rule of the tree: eclp-metrics gates telemetry
+// snapshots through it too (serve::diff_metrics_snapshots).
 //
 // What is gated (all purely modeled, so bit-stable across machines and
 // sim-thread counts — wall_ns and workers are deliberately ignored):
 //  * totals.modeled_cycles and per-kernel modeled_cycles, against
 //    cycle_tolerance_pct;
-//  * totals.atomics, per-kernel atomics, and every entry of "counters",
-//    against counter_tolerance_pct (default 0: counters are deterministic,
-//    any growth is a real behavior change);
+//  * totals.atomics, per-kernel atomics, and every entry of "counters"
+//    except llc.hits, against counter_tolerance_pct (default 0: counters
+//    are deterministic, any growth is a real behavior change);
+//  * llc.hits is reported but never gated: more hits usually mean better
+//    locality, and llc.misses carries the gate;
 //  * kernels/counters present only on one side are reported as added /
 //    removed — informational, never a regression by themselves (renames
 //    and phase restructuring should not fail the gate; their cost shows
 //    up in the totals).
-// Decreases are reported as improvements and never fail the gate.
+// Decreases are reported as improvements and never fail the gate. Growth
+// from a zero baseline has no percentage, so it regresses at any finite
+// tolerance and is listed as "new".
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,6 +61,19 @@ struct DiffEntry {
 
 struct DiffReport {
   std::vector<DiffEntry> entries;
+  /// Compare one metric and append the entry. Growth beyond `tol_pct`
+  /// percent regresses; growth from a zero `base` regresses at any finite
+  /// tolerance; an infinite tolerance reports without gating. Decreases
+  /// are improvements.
+  void gate(std::string metric, double base, double cand, double tol_pct);
+  /// Compare two name-keyed objects over the union of their member names,
+  /// in name order. A name on one side only is listed as added or removed
+  /// under "<prefix><name>"; a name on both sides gates value(member) as
+  /// "<prefix><name><suffix>" with tolerance tol_pct(name).
+  void gate_members(const std::string& prefix, const std::string& suffix,
+                    const json::Value& base, const json::Value& cand,
+                    const std::function<double(const json::Value&)>& value,
+                    const std::function<double(const std::string&)>& tol_pct);
   u32 regressions() const;
   /// Human-readable listing; `all` includes unchanged metrics.
   std::string to_string(bool all = false) const;

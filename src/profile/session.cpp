@@ -1,11 +1,10 @@
 #include "profile/session.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <string_view>
 
+#include "support/file.hpp"
 #include "support/timer.hpp"
 
 namespace eclp::profile {
@@ -517,16 +516,6 @@ json::Value Session::profile() {
 std::string Session::profile_json() { return profile().dump(1) + "\n"; }
 
 bool Session::write(const std::string& profile_path) {
-  const auto write_file = [](const std::string& path, const std::string& body) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "eclp: cannot write profile artifact '%s'\n",
-                   path.c_str());
-      return false;
-    }
-    out << body;
-    return static_cast<bool>(out);
-  };
   const bool a = write_file(profile_path, profile_json());
   const bool b = write_file(trace_path_for(profile_path), perfetto_json());
   return a && b;

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "support/check.hpp"
+#include "support/file.hpp"
 #include "support/timer.hpp"
 
 namespace eclp::serve {
@@ -86,13 +87,7 @@ std::string TraceLog::text() const {
 }
 
 bool TraceLog::write(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) {
-    std::fprintf(stderr, "trace log: cannot write %s\n", path.c_str());
-    return false;
-  }
-  os << text();
-  return os.good();
+  return write_file(path, text());
 }
 
 // --- Telemetry ---------------------------------------------------------------
@@ -233,13 +228,7 @@ json::Value Telemetry::snapshot() {
     }
   }
   if (!options_.prom_path.empty()) {
-    std::ofstream os(options_.prom_path, std::ios::binary | std::ios::trunc);
-    if (os.good()) {
-      os << to_prometheus(snap);
-    } else {
-      std::fprintf(stderr, "telemetry: cannot write %s\n",
-                   options_.prom_path.c_str());
-    }
+    write_file(options_.prom_path, to_prometheus(snap));
   }
   return doc;
 }
@@ -276,6 +265,29 @@ void validate_metrics_snapshot(const json::Value& doc) {
     value.at("sum").as_u64();
     for (const char* q : {"p50", "p90", "p99"}) value.at(q).as_u64();
   }
+}
+
+profile::DiffReport diff_metrics_snapshots(const json::Value& base,
+                                           const json::Value& cand,
+                                           double counter_tol_pct,
+                                           double latency_tol_pct) {
+  validate_metrics_snapshot(base);
+  validate_metrics_snapshot(cand);
+  const auto counter = [](const json::Value& snap, const char* name) {
+    const json::Value* v = snap.at("counters").find(name);
+    return v == nullptr ? 0.0 : v->as_number();
+  };
+  profile::DiffReport report;
+  for (const char* name :
+       {"serve.failed", "serve.rejected", "pool.misses", "pool.evictions"}) {
+    report.gate(std::string("counter/") + name, counter(base, name),
+                counter(cand, name), counter_tol_pct);
+  }
+  report.gate_members(
+      "histogram/", "/p99", base.at("histograms"), cand.at("histograms"),
+      [](const json::Value& h) { return h.at("p99").as_number(); },
+      [&](const std::string&) { return latency_tol_pct; });
+  return report;
 }
 
 }  // namespace eclp::serve

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "profile/diff.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/types.hpp"
@@ -148,5 +149,16 @@ class Telemetry {
 /// a field-level message on schema violations (used by eclp-metrics
 /// --check and the metrics-smoke tier).
 void validate_metrics_snapshot(const json::Value& doc);
+
+/// Compare candidate against baseline snapshot (both validated first) —
+/// the eclp-metrics gate. The gated set is the metrics whose growth means
+/// the serving layer got worse, not just busier: the serve.failed,
+/// serve.rejected, pool.misses and pool.evictions counters (absent = 0) at
+/// `counter_tol_pct`, and every histogram's p99 at `latency_tol_pct`.
+/// Histograms present in one snapshot only are listed as added/removed.
+profile::DiffReport diff_metrics_snapshots(const json::Value& base,
+                                           const json::Value& cand,
+                                           double counter_tol_pct,
+                                           double latency_tol_pct);
 
 }  // namespace eclp::serve

@@ -1,0 +1,30 @@
+#include "support/file.hpp"
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
+#include "support/check.hpp"
+
+namespace eclp {
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  ECLP_CHECK_MSG(in.is_open(), "cannot open " << path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
+}
+
+bool write_file(const std::string& path, std::string_view body) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  out.close();
+  if (out.fail()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+}  // namespace eclp

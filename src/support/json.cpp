@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -235,9 +236,10 @@ std::string format_number(double d) {
     return buf;
   }
   if (!std::isfinite(d)) return "0";  // JSON has no Inf/NaN
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  return buf;
+  // Shortest text that parses back to the same double: 39.4 stays "39.4"
+  // (%.17g would print 39.399999999999999).
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, d).ptr);
 }
 
 u64 Value::as_u64() const {

@@ -3,11 +3,12 @@
 // The observability layer both *writes* JSON (profile artifacts, Perfetto
 // traces) and *reads* it back (eclp_profile_diff compares two profile
 // files; tests validate emitted artifacts), so the repo needs a real
-// parser, not just the write-only escaping the bench harness uses. This is
-// a deliberately small recursive-descent implementation of RFC 8259:
+// parser, not just a writer. This is a deliberately small recursive-descent
+// implementation of RFC 8259:
 //  * numbers are stored as double (53-bit integer precision — far beyond
 //    any modeled-cycle count the suite produces) and serialized without a
-//    decimal point when integral, so u64 counters round-trip textually;
+//    decimal point when integral, so u64 counters round-trip textually,
+//    and otherwise in their shortest round-trip form;
 //  * objects preserve insertion order and serialization is fully
 //    deterministic, which is what makes golden-file tests of emitted
 //    artifacts byte-stable;
@@ -124,8 +125,9 @@ class Value {
 /// JSON string escaping (quotes, backslash, control characters).
 std::string escape(const std::string& s);
 
-/// Format a double the way the writer does: integral values without a
-/// decimal point, everything else with up to 17 significant digits.
+/// Format a double the way the writer does: integral values below 1e15
+/// without a decimal point or exponent, everything else in the shortest
+/// form that parses back to the same double.
 std::string format_number(double d);
 
 }  // namespace eclp::json

@@ -72,6 +72,19 @@ TEST(Json, IntegralNumbersSerializeWithoutDecimalPoint) {
   Value v(static_cast<u64>(1234567890123ULL));
   EXPECT_EQ(v.dump(), "1234567890123");
   EXPECT_EQ(Value::parse(v.dump()).as_u64(), 1234567890123ULL);
+  EXPECT_EQ(format_number(1000000.0), "1000000");
+}
+
+TEST(Json, NonIntegralNumbersUseShortestRoundTripForm) {
+  EXPECT_EQ(format_number(0.1), "0.1");
+  EXPECT_EQ(format_number(39.4), "39.4");
+  EXPECT_EQ(format_number(-2.5e-7), "-2.5e-07");
+  EXPECT_EQ(format_number(1.6797900262467191), "1.6797900262467191");
+  for (const double d : {0.1, 39.4, 1000000.0, 1.0 / 3.0, 6.02214076e23}) {
+    const Value parsed = Value::parse(Value(d).dump());
+    EXPECT_EQ(parsed.as_number(), d) << format_number(d);
+    EXPECT_EQ(parsed.dump(), format_number(d));
+  }
 }
 
 TEST(Json, AsU64Checked) {

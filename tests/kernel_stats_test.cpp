@@ -5,9 +5,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "harness/harness.hpp"
 #include "sim/device.hpp"
+#include "support/json.hpp"
 
 namespace eclp {
 namespace {
@@ -90,6 +92,50 @@ TEST(Harness, EmitWritesCsvCopy) {
   std::getline(is, line);
   EXPECT_EQ(line, "a,b");
   std::filesystem::remove_all("/tmp/eclp_harness_emit");
+}
+
+TEST(Harness, EmitJsonArtifactParsesBack) {
+  const std::string dir = ::testing::TempDir() + "/eclp_harness_json";
+  const std::string path = dir + "/BENCH_demo.json";
+  const std::string out_flag = "--out=" + dir;
+  const std::string json_flag = "--json=" + path;
+  const char* argv[] = {"bench_demo", out_flag.c_str(), json_flag.c_str()};
+  const auto ctx = harness::parse(3, argv, "test bench");
+  Table t("a \"quoted\" title\\with\ttab");
+  t.set_header({"grouped", "decimal", "percent", "text"});
+  t.add_row({"1,234", "39.4", "39.4%", "rmat16.sym"});
+  t.add_row({"-7", "0.1", "n/a", ""});
+  harness::emit(ctx, "demo_experiment", t);
+
+  std::ifstream is(path);
+  ASSERT_TRUE(is.is_open()) << path;
+  std::stringstream text;
+  text << is.rdbuf();
+  const json::Value doc = json::Value::parse(text.str());
+  EXPECT_EQ(doc.at("bench").as_string(), "bench_demo");
+  const auto& tables = doc.at("tables").items();
+  ASSERT_EQ(tables.size(), 1u);
+  EXPECT_EQ(tables[0].at("id").as_string(), "demo_experiment");
+  EXPECT_EQ(tables[0].at("title").as_string(), t.title());
+  const auto& rows = tables[0].at("rows").items();
+  ASSERT_EQ(rows.size(), 2u);
+  // Numbers under the table formatters (separators stripped) come back as
+  // numbers; everything else stays the cell text.
+  EXPECT_EQ(rows[0].at("grouped").as_number(), 1234.0);
+  EXPECT_EQ(rows[0].at("decimal").as_number(), 39.4);
+  EXPECT_EQ(rows[0].at("percent").as_string(), "39.4%");
+  EXPECT_EQ(rows[0].at("text").as_string(), "rmat16.sym");
+  EXPECT_EQ(rows[1].at("grouped").as_number(), -7.0);
+  EXPECT_EQ(rows[1].at("decimal").as_number(), 0.1);
+  EXPECT_EQ(rows[1].at("percent").as_string(), "n/a");
+  EXPECT_EQ(rows[1].at("text").as_string(), "");
+  for (const json::Value& row : rows) {
+    const auto& members = row.members();
+    ASSERT_EQ(members.size(), 4u);
+    EXPECT_EQ(members[0].first, "grouped");
+    EXPECT_EQ(members[3].first, "text");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Harness, MakeDeviceAppliesSeedAndMode) {

@@ -12,7 +12,10 @@
 #     failed, pool hits/misses) — the registry and ServerStats are two
 #     views of one serving run;
 #  3. self-diff: eclp-metrics between the run's snapshots and themselves
-#     must report zero regressions and exit 0;
+#     must report zero regressions and exit 0; against a copy of the last
+#     snapshot with serve.failed raised it must exit 1 with a REGRESSED
+#     line, and against a copy without the cc latency histogram it must
+#     list that histogram as removed;
 #  4. tracing: the trace log must contain admitted/started/pool/finished
 #     events for a known request id, and a "cause" on the failing one;
 #  5. slow-request hook: --slow-ms=0 must write one span tree per
@@ -102,6 +105,38 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
           "self-diff reported regressions (${rc}):\n${out}\n${err}")
+endif()
+
+# write_snapshot(<file> <json>): one snapshot as a one-line JSONL file.
+function(write_snapshot file json)
+  string(REPLACE "\n" "" line "${json}")
+  file(WRITE "${file}" "${line}\n")
+endfunction()
+
+string(JSON failed GET "${last}" counters serve.failed)
+math(EXPR more_failed "${failed} + 1")
+string(JSON worse SET "${last}" counters serve.failed ${more_failed})
+write_snapshot("${WORK_DIR}/worse.jsonl" "${worse}")
+execute_process(
+  COMMAND "${ECLP_METRICS}" "${WORK_DIR}/metrics.jsonl"
+          "${WORK_DIR}/worse.jsonl"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(REGEX MATCH "REGRESSED +counter/serve.failed" regressed "${out}")
+if(NOT rc EQUAL 1 OR NOT regressed)
+  message(FATAL_ERROR "raised serve.failed: expected exit 1 and a REGRESSED "
+          "line, got ${rc}:\n${out}\n${err}")
+endif()
+
+string(JSON fewer REMOVE "${last}" histograms serve.latency_us.cc)
+write_snapshot("${WORK_DIR}/fewer.jsonl" "${fewer}")
+execute_process(
+  COMMAND "${ECLP_METRICS}" "${WORK_DIR}/metrics.jsonl"
+          "${WORK_DIR}/fewer.jsonl"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(REGEX MATCH "removed +histogram/serve.latency_us.cc" removed "${out}")
+if(NOT rc EQUAL 0 OR NOT removed)
+  message(FATAL_ERROR "missing histogram: expected exit 0 and a removed "
+          "line, got ${rc}:\n${out}\n${err}")
 endif()
 
 # --- 4. trace events ---------------------------------------------------------

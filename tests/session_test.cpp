@@ -4,6 +4,7 @@
 // that pin the artifacts byte-for-byte across sim-thread counts.
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -246,6 +247,151 @@ TEST(Session, DiffDetectsGrowthAndImprovement) {
   loose.cycle_tolerance_pct = 1000.0;
   loose.counter_tolerance_pct = 1000.0;
   EXPECT_EQ(diff_profiles(base, grown, loose).regressions(), 0u);
+}
+
+// --- gate decisions ---------------------------------------------------------------
+// One (base, cand, tolerance) -> status row per rule of DiffReport::gate as
+// diff_profiles applies it: equality, improvement, tolerance edges, growth
+// from zero, llc.hits (reported, never gated), llc_misses present on one
+// side only, and counters/kernels present on one side only.
+
+enum class Slot { kKernelAtomics, kKernelLlcMisses, kCounter, kKernel };
+
+struct GateCase {
+  const char* label;
+  Slot slot;
+  const char* name;  ///< counter name, or the extra kernel's name
+  std::optional<double> base;  ///< nullopt: absent from the baseline
+  std::optional<double> cand;  ///< nullopt: absent from the candidate
+  double counter_tol;
+  const char* metric;  ///< the report entry the row checks
+  DiffStatus expected;
+};
+
+/// The smallest valid profile: kernel "k" and one counter, plus `value` in
+/// `slot` (the slot stays absent when `value` is nullopt).
+json::Value profile_with(Slot slot, const char* name,
+                         std::optional<double> value) {
+  json::Value kernel = json::Value::object();
+  kernel.set("name", "k");
+  kernel.set("launches", 1);
+  kernel.set("modeled_cycles", 100);
+  kernel.set("atomics", slot == Slot::kKernelAtomics ? value.value() : 10.0);
+  if (slot == Slot::kKernelLlcMisses && value) {
+    kernel.set("llc_misses", *value);
+  }
+  json::Value kernels = json::Value::array();
+  kernels.push_back(std::move(kernel));
+  if (slot == Slot::kKernel && value) {
+    json::Value extra = json::Value::object();
+    extra.set("name", name);
+    extra.set("launches", 1);
+    extra.set("modeled_cycles", *value);
+    extra.set("atomics", 0);
+    kernels.push_back(std::move(extra));
+  }
+  json::Value counters = json::Value::object();
+  counters.set("workload.pushes", 50);
+  if (slot == Slot::kCounter && value) counters.set(name, *value);
+  json::Value totals = json::Value::object();
+  totals.set("modeled_cycles", 100);
+  totals.set("launches", 1);
+  totals.set("atomics", 10);
+  totals.set("spans", 0);
+  json::Value doc = json::Value::object();
+  doc.set("schema", "eclp.profile");
+  doc.set("version", 1);
+  doc.set("meta", json::Value::object());
+  doc.set("totals", std::move(totals));
+  doc.set("spans", json::Value::array());
+  doc.set("kernels", std::move(kernels));
+  doc.set("counters", std::move(counters));
+  doc.set("workers", json::Value::array());
+  return doc;
+}
+
+TEST(DiffGate, DecisionTable) {
+  using S = Slot;
+  using D = DiffStatus;
+  const std::optional<double> none;
+  const GateCase cases[] = {
+      {"equal", S::kKernelAtomics, "", 10, 10, 0, "kernel/k/atomics", D::kOk},
+      {"growth, zero tol", S::kKernelAtomics, "", 10, 11, 0,
+       "kernel/k/atomics", D::kRegressed},
+      {"growth at tol", S::kKernelAtomics, "", 10, 11, 10, "kernel/k/atomics",
+       D::kOk},
+      {"growth past tol", S::kKernelAtomics, "", 10, 12, 10,
+       "kernel/k/atomics", D::kRegressed},
+      {"decrease", S::kKernelAtomics, "", 10, 5, 0, "kernel/k/atomics",
+       D::kImproved},
+      {"zero to zero", S::kKernelAtomics, "", 0, 0, 0, "kernel/k/atomics",
+       D::kOk},
+      {"from zero, zero tol", S::kKernelAtomics, "", 0, 1, 0,
+       "kernel/k/atomics", D::kRegressed},
+      {"from zero, 1% tol", S::kKernelAtomics, "", 0, 1000000, 1,
+       "kernel/k/atomics", D::kRegressed},
+      {"counter from zero, 50% tol", S::kCounter, "workload.extra", 0, 5, 50,
+       "counter/workload.extra", D::kRegressed},
+      {"llc.hits growth", S::kCounter, "llc.hits", 5, 500, 0,
+       "counter/llc.hits", D::kOk},
+      {"llc.hits from zero", S::kCounter, "llc.hits", 0, 500, 0,
+       "counter/llc.hits", D::kOk},
+      {"llc.hits decrease", S::kCounter, "llc.hits", 500, 5, 0,
+       "counter/llc.hits", D::kImproved},
+      {"llc_misses in cand only", S::kKernelLlcMisses, "", none, 30, 0,
+       "kernel/k/llc_misses", D::kRegressed},
+      {"llc_misses in base only", S::kKernelLlcMisses, "", 30, none, 0,
+       "kernel/k/llc_misses", D::kImproved},
+      {"counter added", S::kCounter, "x", none, 5, 0, "counter/x", D::kAdded},
+      {"counter removed", S::kCounter, "x", 5, none, 0, "counter/x",
+       D::kRemoved},
+      {"kernel added", S::kKernel, "k2", none, 100, 0, "kernel/k2", D::kAdded},
+      {"kernel removed", S::kKernel, "k2", 100, none, 0, "kernel/k2",
+       D::kRemoved},
+  };
+  for (const GateCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    DiffOptions options;
+    options.counter_tolerance_pct = c.counter_tol;
+    const DiffReport report =
+        diff_profiles(profile_with(c.slot, c.name, c.base),
+                      profile_with(c.slot, c.name, c.cand), options);
+    const DiffEntry* entry = nullptr;
+    for (const DiffEntry& e : report.entries) {
+      if (e.metric == c.metric) entry = &e;
+    }
+    ASSERT_NE(entry, nullptr) << c.metric;
+    EXPECT_STREQ(diff_status_name(entry->status),
+                 diff_status_name(c.expected));
+    // Every other metric is equal on both sides.
+    EXPECT_EQ(report.regressions(), c.expected == D::kRegressed ? 1u : 0u);
+  }
+}
+
+TEST(DiffGate, GrowthFromZeroRegressesUnderANonZeroTolerance) {
+  std::ifstream is(std::string(ECLP_GOLDEN_DIR) + "/session_profile.json");
+  ASSERT_TRUE(is.good());
+  std::stringstream text;
+  text << is.rdbuf();
+  const json::Value base = json::Value::parse(text.str());
+  json::Value kernels = json::Value::array();
+  for (json::Value kernel : base.at("kernels").items()) {
+    if (kernel.at("name").as_string() == "seed_values") {
+      ASSERT_EQ(kernel.at("atomics").as_number(), 0.0);
+      kernel.set("atomics", 1000000);
+    }
+    kernels.push_back(std::move(kernel));
+  }
+  json::Value cand = base;
+  cand.set("kernels", std::move(kernels));
+  DiffOptions options;
+  options.counter_tolerance_pct = 1.0;
+  const DiffReport report = diff_profiles(base, cand, options);
+  EXPECT_EQ(report.regressions(), 1u);
+  const std::string rendered = report.to_string();
+  EXPECT_NE(rendered.find("kernel/seed_values/atomics"), std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("(new)"), std::string::npos) << rendered;
 }
 
 TEST(Session, ValidateRejectsMalformedDocuments) {

@@ -208,6 +208,100 @@ TEST(Telemetry, SnapshotAppendsJsonlAndRewritesProm) {
   std::filesystem::remove_all(dir);
 }
 
+// --- snapshot diff (the eclp-metrics gate) -----------------------------------
+
+json::Value golden_snapshot() {
+  std::ifstream is(std::string(ECLP_GOLDEN_DIR) + "/telemetry_snapshot.json");
+  std::stringstream text;
+  text << is.rdbuf();
+  return json::Value::parse(text.str());
+}
+
+/// `snap` with member `name` of `section` replaced by `value`.
+json::Value with_member(const json::Value& snap, const std::string& section,
+                        const std::string& name, json::Value value) {
+  json::Value edited = snap.at(section);
+  edited.set(name, std::move(value));
+  json::Value out = snap;
+  out.set(section, std::move(edited));
+  return out;
+}
+
+const profile::DiffEntry* find_entry(const profile::DiffReport& report,
+                                     const std::string& metric) {
+  for (const profile::DiffEntry& e : report.entries) {
+    if (e.metric == metric) return &e;
+  }
+  return nullptr;
+}
+
+TEST(MetricsDiff, SelfDiffGatesFourCountersAndEveryP99) {
+  const json::Value snap = golden_snapshot();
+  const profile::DiffReport report =
+      serve::diff_metrics_snapshots(snap, snap, 0.0, 10.0);
+  EXPECT_EQ(report.regressions(), 0u);
+  EXPECT_EQ(report.entries.size(),
+            4 + snap.at("histograms").members().size());
+  for (const char* metric :
+       {"counter/serve.failed", "counter/serve.rejected",
+        "counter/pool.misses", "counter/pool.evictions",
+        "histogram/serve.latency_us.cc/p99", "histogram/serve.wave_us/p99"}) {
+    const profile::DiffEntry* e = find_entry(report, metric);
+    ASSERT_NE(e, nullptr) << metric;
+    EXPECT_EQ(e->status, profile::DiffStatus::kOk) << metric;
+  }
+}
+
+TEST(MetricsDiff, GrowthBeyondToleranceRegresses) {
+  const json::Value base = golden_snapshot();
+  const json::Value more_failures =
+      with_member(base, "counters", "serve.failed", u64{3});
+  EXPECT_EQ(serve::diff_metrics_snapshots(base, more_failures, 0.0, 10.0)
+                .regressions(),
+            1u);
+  EXPECT_EQ(serve::diff_metrics_snapshots(base, more_failures, 50.0, 10.0)
+                .regressions(),
+            0u);
+  EXPECT_EQ(serve::diff_metrics_snapshots(more_failures, base, 0.0, 10.0)
+                .regressions(),
+            0u);
+  // The golden's p99s are all 0 (zero clock): any growth is new, and new
+  // regresses at any finite tolerance.
+  json::Value slow = base.at("histograms").at("serve.latency_us.cc");
+  slow.set("p99", u64{100});
+  const profile::DiffReport report = serve::diff_metrics_snapshots(
+      base, with_member(base, "histograms", "serve.latency_us.cc", slow), 0.0,
+      1000.0);
+  EXPECT_EQ(report.regressions(), 1u);
+  EXPECT_NE(report.to_string().find("histogram/serve.latency_us.cc/p99"),
+            std::string::npos);
+}
+
+TEST(MetricsDiff, HistogramOnOneSideIsListedAddedOrRemoved) {
+  const json::Value base = golden_snapshot();
+  json::Value fewer = json::Value::object();
+  for (const auto& [name, h] : base.at("histograms").members()) {
+    if (name != "serve.latency_us.cc") fewer.set(name, h);
+  }
+  json::Value cand = base;
+  cand.set("histograms", std::move(fewer));
+
+  const profile::DiffReport removed =
+      serve::diff_metrics_snapshots(base, cand, 0.0, 10.0);
+  const profile::DiffEntry* e =
+      find_entry(removed, "histogram/serve.latency_us.cc");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->status, profile::DiffStatus::kRemoved);
+  EXPECT_EQ(removed.regressions(), 0u);
+  EXPECT_NE(removed.to_string().find("removed"), std::string::npos);
+
+  const profile::DiffReport added =
+      serve::diff_metrics_snapshots(cand, base, 0.0, 10.0);
+  e = find_entry(added, "histogram/serve.latency_us.cc");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->status, profile::DiffStatus::kAdded);
+}
+
 // --- end-to-end determinism golden -------------------------------------------
 
 /// The telemetry golden mix: eight requests over eight *distinct* pool

@@ -14,24 +14,19 @@
 //
 // Exit codes: 0 ok, 1 regressions found, 2 usage/IO/validation error.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "profile/diff.hpp"
 #include "support/cli.hpp"
+#include "support/file.hpp"
 
 using namespace eclp;
 
 namespace {
 
 json::Value load_json(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  ECLP_CHECK_MSG(static_cast<bool>(in), "cannot open '" << path << "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return json::Value::parse(buf.str());
+  return json::Value::parse(read_file(path));
 }
 
 }  // namespace

@@ -15,14 +15,13 @@
 // the repo's determinism goldens. --timing adds wall-clock latency and
 // pool hit/miss per response.
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "graph/cache.hpp"
 #include "serve/server.hpp"
 #include "serve/telemetry.hpp"
 #include "support/cli.hpp"
+#include "support/file.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel_for.hpp"
 #include "support/timer.hpp"
@@ -103,12 +102,8 @@ static int run(int argc, char** argv) {
     graph::set_cache_dir(cli.get("graph-cache"));
   }
 
-  std::ifstream is(cli.get("requests"));
-  ECLP_CHECK_MSG(is.good(), "cannot open " << cli.get("requests"));
-  std::stringstream buffer;
-  buffer << is.rdbuf();
   std::vector<serve::Request> requests =
-      serve::parse_requests_jsonl(buffer.str());
+      serve::parse_requests_jsonl(read_file(cli.get("requests")));
   ECLP_CHECK_MSG(!requests.empty(),
                  cli.get("requests") << " contains no requests");
   if (cli.get_flag("verify")) {
@@ -173,9 +168,8 @@ static int run(int argc, char** argv) {
   if (cli.get("out").empty()) {
     std::fputs(jsonl.c_str(), stdout);
   } else {
-    std::ofstream os(cli.get("out"));
-    ECLP_CHECK_MSG(os.good(), "cannot write " << cli.get("out"));
-    os << jsonl;
+    ECLP_CHECK_MSG(write_file(cli.get("out"), jsonl),
+                   "cannot write " << cli.get("out"));
   }
 
   const double hit_rate =
@@ -200,9 +194,9 @@ static int run(int argc, char** argv) {
       static_cast<double>(stats.graphs.peak_bytes) / (1 << 20));
 
   if (!cli.get("stats-json").empty()) {
-    std::ofstream os(cli.get("stats-json"));
-    ECLP_CHECK_MSG(os.good(), "cannot write " << cli.get("stats-json"));
-    os << serve::stats_to_json(stats).dump(2) << "\n";
+    ECLP_CHECK_MSG(write_file(cli.get("stats-json"),
+                              serve::stats_to_json(stats).dump(2) + "\n"),
+                   "cannot write " << cli.get("stats-json"));
   }
   if (telemetry != nullptr) telemetry->snapshot();  // final (or only) one
   if (trace != nullptr) {
