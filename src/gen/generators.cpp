@@ -69,11 +69,12 @@ Csr uniform_random(vidx n, u64 edges, u64 seed) {
 Csr rmat(u32 scale, u64 edges, double a, double b, double c, u64 seed) {
   ECLP_CHECK(scale >= 2 && scale <= 28);
   ECLP_CHECK(a + b + c < 1.0 + 1e-9);
+  const RmatSampler sample(scale, a, b, c);
   Rng rng(seed);
   Builder builder(vidx{1} << scale);
   builder.reserve_edges(edges);
   for (u64 e = 0; e < edges; ++e) {
-    const auto [u, v] = rmat_edge(rng, scale, a, b, c);
+    const auto [u, v] = sample(rng);
     if (u == v) continue;
     builder.add(u, v);
   }

@@ -37,7 +37,7 @@ PreferentialAttachmentStream::PreferentialAttachmentStream(vidx n, u32 m,
                                                            u64 chunks)
     : n_(n),
       m_(m),
-      seed_(seed),
+      family_seed_(stream_family_seed(seed, kStreamTagPa)),
       attach_edges_(static_cast<u64>(n - m - 1) * m),
       chunks_(detail::stream_chunks(chunks, attach_edges_)) {
   ECLP_CHECK(n > m && m >= 1);

@@ -11,9 +11,11 @@
 //   pass 2  re-emit every chunk again and scatter each arc straight into
 //           the final adjacency array through per-(slot, row) cursors,
 //
-// followed by a per-row sort by destination, a keep-first dedupe and an
-// in-place compaction. Peak memory is the final CSR plus the cursor
-// matrix: a generated stream's edge list never exists. Builder::build
+// both write-combined per row partition (RowBuffers), followed by a
+// per-row sort by destination, a keep-first dedupe and an in-place
+// compaction over arc-balanced row chunks. Peak memory is the final CSR
+// plus the cursor matrix and a fixed buffer per worker: a generated
+// stream's edge list never exists. Builder::build
 // (builder.cpp) serves its staged edge list as a VectorChunkSource, so
 // generated, parsed and relabelled graphs all take this path too.
 //
@@ -40,6 +42,7 @@
 #include <algorithm>
 #include <concepts>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -121,6 +124,61 @@ struct WeightedArc {
   weight_t w;
 };
 
+/// Write-combining geometry of the count and scatter passes: rows are
+/// grouped into at most kMaxRowPartitions partitions of a power-of-two
+/// width no smaller than 2^kMinPartitionRowsLog2 rows (a 16 KiB window of
+/// eidx cursors), and each partition buffers kBufferedArcs arcs.
+inline constexpr u32 kMinPartitionRowsLog2 = 12;
+inline constexpr usize kMaxRowPartitions = 1024;
+inline constexpr usize kBufferedArcs = 64;
+
+/// One slot's write-combining buffers. Both passes touch a row-indexed
+/// address per arc, spread over the whole vertex range, so on a big
+/// graph nearly every arc misses cache. push() parks the arc in its row
+/// partition's buffer and hands a full buffer to flush(first, last);
+/// drain() flushes the partly filled rest. A flush then touches one
+/// partition's cursor window only. Every arc of a row goes through the
+/// same buffer, first in first out, so the row still sees a slot's arcs
+/// in replay order and the scatter stays a stable counting sort.
+/// Footprint: partitions x kBufferedArcs items, at most 64 Ki items.
+template <typename Item>
+class RowBuffers {
+ public:
+  explicit RowBuffers(usize num_vertices) {
+    const usize last_row = num_vertices == 0 ? 0 : num_vertices - 1;
+    while ((last_row >> shift_) >= kMaxRowPartitions) ++shift_;
+    const usize partitions = (last_row >> shift_) + 1;
+    fill_.assign(partitions, 0);
+    items_ = std::make_unique_for_overwrite<Item[]>(partitions *
+                                                    kBufferedArcs);
+  }
+
+  template <typename Flush>
+  void push(vidx row, const Item& item, Flush&& flush) {
+    const usize p = row >> shift_;
+    Item* const buffer = items_.get() + p * kBufferedArcs;
+    buffer[fill_[p]] = item;
+    if (++fill_[p] == kBufferedArcs) {
+      flush(buffer, buffer + kBufferedArcs);
+      fill_[p] = 0;
+    }
+  }
+
+  template <typename Flush>
+  void drain(Flush&& flush) {
+    for (usize p = 0; p < fill_.size(); ++p) {
+      Item* const buffer = items_.get() + p * kBufferedArcs;
+      flush(buffer, buffer + fill_[p]);
+      fill_[p] = 0;
+    }
+  }
+
+ private:
+  u32 shift_ = kMinPartitionRowsLog2;
+  std::vector<u32> fill_;
+  std::unique_ptr<Item[]> items_;
+};
+
 template <bool Weighted, ChunkedEdgeSource S>
 Csr assemble_chunks(const S& source, const BuildOptions& opt) {
   using Arc = std::conditional_t<Weighted, WeightedArc, vidx>;
@@ -159,10 +217,18 @@ Csr assemble_chunks(const S& source, const BuildOptions& opt) {
   std::vector<eidx> cursors(slots * V, 0);
   parallel_for_chunks(pool, replays, slots,
                       [&](u64 slot, u64 rbegin, u64 rend, u32) {
-                        eidx* mine = cursors.data() + slot * V;
+                        eidx* const mine = cursors.data() + slot * V;
+                        const auto count = [mine](const vidx* first,
+                                                  const vidx* last) {
+                          for (; first != last; ++first) mine[*first]++;
+                        };
+                        RowBuffers<vidx> rows(V);
                         for (u64 r = rbegin; r < rend; ++r) {
-                          replay(r, [&](vidx u, vidx, weight_t) { mine[u]++; });
+                          replay(r, [&](vidx u, vidx, weight_t) {
+                            rows.push(u, u, count);
+                          });
                         }
+                        rows.drain(count);
                       });
 
   // Row starts (exclusive prefix over per-row totals), then a column-wise
@@ -194,32 +260,64 @@ Csr assemble_chunks(const S& source, const BuildOptions& opt) {
   // Pass 2: replay again and scatter every arc straight into the final
   // adjacency array. Cursor slots are private per (slot, row), so no
   // atomics; within every row, slot order equals replay order equals arc
-  // order.
+  // order (RowBuffers keeps a row's arcs in order).
+  struct RoutedArc {
+    vidx src;
+    Arc arc;
+  };
   std::vector<Arc> adj(row_start[V]);
   parallel_for_chunks(pool, replays, slots,
                       [&](u64 slot, u64 rbegin, u64 rend, u32) {
-                        eidx* cursor = cursors.data() + slot * V;
-                        const auto scatter = [&](vidx u, vidx v, weight_t w) {
-                          if constexpr (Weighted) {
-                            adj[cursor[u]++] = {v, w};
-                          } else {
-                            adj[cursor[u]++] = v;
+                        eidx* const cursor = cursors.data() + slot * V;
+                        const auto scatter = [&](const RoutedArc* first,
+                                                 const RoutedArc* last) {
+                          for (; first != last; ++first) {
+                            adj[cursor[first->src]++] = first->arc;
                           }
                         };
-                        for (u64 r = rbegin; r < rend; ++r) replay(r, scatter);
+                        RowBuffers<RoutedArc> rows(V);
+                        for (u64 r = rbegin; r < rend; ++r) {
+                          replay(r, [&](vidx u, vidx v, weight_t w) {
+                            if constexpr (Weighted) {
+                              rows.push(u, {u, {v, w}}, scatter);
+                            } else {
+                              rows.push(u, {u, v}, scatter);
+                            }
+                          });
+                        }
+                        rows.drain(scatter);
                       });
   cursors.clear();
   cursors.shrink_to_fit();
 
+  // Row chunks for the sort and both compaction phases: chunk c is rows
+  // [row_bound[c], row_bound[c + 1]), cut at equal shares of the arcs
+  // rather than of the rows, because RMAT hubs sit at low ids (a quarter
+  // of kron's arcs fall in the first of 32 equal-row chunks). A hub row
+  // larger than one share leaves the chunks it spans empty. More chunks
+  // than workers so stealing can rebalance what is left.
+  const u64 row_chunks = std::min<u64>(std::max<usize>(1, V), slots * 8);
+  std::vector<usize> row_bound(row_chunks + 1, V);
+  for (u64 c = 0; c < row_chunks; ++c) {
+    const u64 share = u64{row_start[V]} * c / row_chunks;
+    row_bound[c] = static_cast<usize>(
+        std::lower_bound(row_start.begin(), row_start.end(), share) -
+        row_start.begin());
+  }
+  const auto for_row_chunks = [&](auto&& fn) {
+    parallel_for_chunks(pool, row_chunks, row_chunks,
+                        [&](u64 c, u64, u64, u32) {
+                          fn(row_bound[c], row_bound[c + 1]);
+                        });
+  };
+
   // Per-row sort by destination + keep-first dedupe, in place. Weighted
   // rows sort stably so the first arc of a duplicate run keeps its
   // weight; equal bare ids are interchangeable, so unweighted rows take
-  // the plain sort. More chunks than workers so stealing can rebalance
-  // hub rows.
+  // the plain sort.
   std::vector<eidx> kept(V, 0);
-  const u64 row_chunks = std::min<u64>(std::max<usize>(1, V), slots * 8);
-  parallel_for_chunks(pool, V, row_chunks, [&](u64, u64 bv, u64 ev, u32) {
-    for (u64 s = bv; s < ev; ++s) {
+  for_row_chunks([&](usize bv, usize ev) {
+    for (usize s = bv; s < ev; ++s) {
       Arc* const begin = adj.data() + row_start[s];
       Arc* const end = adj.data() + row_start[s + 1];
       Arc* last = end;
@@ -251,20 +349,19 @@ Csr assemble_chunks(const S& source, const BuildOptions& opt) {
   // move can cross into the previous segment's old span, so it runs
   // serially, ascending (dest <= src throughout, memmove handles the
   // overlap).
-  parallel_for_chunks(pool, V, row_chunks,
-                      [&](u64, u64 bv, u64 ev, u32) {
-                        eidx w = row_start[bv];
-                        for (u64 s = bv; s < ev; ++s) {
-                          Arc* const from = adj.data() + row_start[s];
-                          if (w != row_start[s] && kept[s] != 0) {
-                            std::memmove(adj.data() + w, from,
-                                         kept[s] * sizeof(Arc));
-                          }
-                          w += kept[s];
-                        }
-                      });
+  for_row_chunks([&](usize bv, usize ev) {
+    eidx w = row_start[bv];
+    for (usize s = bv; s < ev; ++s) {
+      Arc* const from = adj.data() + row_start[s];
+      if (w != row_start[s] && kept[s] != 0) {
+        std::memmove(adj.data() + w, from, kept[s] * sizeof(Arc));
+      }
+      w += kept[s];
+    }
+  });
   for (u64 c = 0; c < row_chunks; ++c) {
-    const auto [bv, ev] = chunk_range(V, row_chunks, c);
+    const usize bv = row_bound[c];
+    const usize ev = row_bound[c + 1];
     const eidx dest = offsets[bv];
     const eidx src = row_start[bv];
     const eidx count = offsets[ev] - offsets[bv];

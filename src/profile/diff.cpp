@@ -107,8 +107,12 @@ std::string DiffReport::to_string(bool all) const {
   char line[256];
   for (const DiffEntry& e : entries) {
     if (!all && e.status == DiffStatus::kOk) continue;
-    char delta[32] = "new";  // growth from zero has no percentage
-    if (e.base != 0.0 || e.cand <= 0.0) {
+    // Growth from zero and a metric missing from the candidate have no
+    // percentage.
+    char delta[32] = "new";
+    if (e.status == DiffStatus::kRemoved) {
+      std::snprintf(delta, sizeof(delta), "gone");
+    } else if (e.base != 0.0 || e.cand <= 0.0) {
       std::snprintf(delta, sizeof(delta), "%+.2f%%", e.delta_pct);
     }
     std::snprintf(line, sizeof(line), "%-10s %-48s %14.0f -> %14.0f (%s)\n",

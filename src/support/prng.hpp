@@ -44,6 +44,13 @@ class Rng {
     }
   }
 
+  /// The first operator()() output of Rng(seed), computed without
+  /// building the state: it reads only state word 1, the second
+  /// SplitMix64 step of the seed.
+  static constexpr u64 first_output(u64 seed) {
+    return rotl(splitmix64(splitmix64(seed)) * 5, 7) * 9;
+  }
+
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~u64{0}; }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "gen/distributions.hpp"
 #include "gen/generators.hpp"
 #include "gen/meshes.hpp"
 #include "gen/suite.hpp"
@@ -51,6 +55,110 @@ TEST(Rmat, SkewedDegrees) {
   const auto s = graph::degree_stats(g);
   // RMAT should produce hubs far above the average.
   EXPECT_GT(static_cast<double>(s.max), 6.0 * s.avg);
+}
+
+// --- RmatSampler ---------------------------------------------------------------
+
+/// The double compare chain RmatSampler replaced: the quadrant (u bit,
+/// v bit) of one level drawn at r in [0, 1).
+std::pair<vidx, vidx> reference_quadrant(double r, double a, double b,
+                                         double c) {
+  if (r < a) return {0, 0};
+  if (r < a + b) return {0, 1};
+  if (r < a + b + c) return {1, 0};
+  return {1, 1};
+}
+
+/// The reference edge: one rng.unit() per level through the chain above.
+std::pair<vidx, vidx> reference_rmat_edge(Rng& rng, u32 scale, double a,
+                                          double b, double c) {
+  vidx u = 0, v = 0;
+  for (u32 bit = 0; bit < scale; ++bit) {
+    const auto [ub, vb] = reference_quadrant(rng.unit(), a, b, c);
+    u = (u << 1) | ub;
+    v = (v << 1) | vb;
+  }
+  return {u, v};
+}
+
+/// Hands out a fixed list of 64-bit words, as Rng::operator() would.
+struct ScriptedWords {
+  std::vector<u64> words;
+  usize next = 0;
+  u64 operator()() { return words.at(next++); }
+};
+
+struct RmatParams {
+  double a, b, c;
+};
+
+/// The suite's two parameterizations, thresholds where p * 2^53 is an
+/// integer, and a + b + c just above 1 (the fourth quadrant is empty).
+const RmatParams kRmatParams[] = {{0.57, 0.19, 0.19},
+                                  {0.45, 0.22, 0.22},
+                                  {0.5, 0.25, 0.125},
+                                  {0.25, 0.25, 0.25},
+                                  {0.5, 0.25, 0.25 + 1e-12}};
+
+TEST(RmatSampler, ThresholdIsTheSmallestWordAtOrAboveP) {
+  EXPECT_EQ(RmatSampler::threshold(0.5), u64{1} << 52);
+  EXPECT_EQ(RmatSampler::threshold(0.25), u64{1} << 51);
+  EXPECT_EQ(RmatSampler::threshold(0.0), 0u);
+  EXPECT_EQ(RmatSampler::threshold(1.0), u64{1} << 53);
+  EXPECT_EQ(RmatSampler::threshold(1.0 + 1e-12), u64{1} << 53);
+  for (const RmatParams& p : kRmatParams) {
+    for (const double t : {p.a, p.a + p.b, p.a + p.b + p.c}) {
+      const u64 k = RmatSampler::threshold(t);
+      if (k > 0) {
+        EXPECT_LT(static_cast<double>(k - 1) * 0x1.0p-53, t);
+      }
+      if (k < (u64{1} << 53)) {
+        EXPECT_GE(static_cast<double>(k) * 0x1.0p-53, t);
+      }
+    }
+  }
+}
+
+TEST(RmatSampler, MatchesTheCompareChainAroundEveryThreshold) {
+  // A scale-1 sampler maps one word to one quadrant. Probe k = T-1, T,
+  // T+1 for each threshold T (k is the word's top 53 bits; the low 11
+  // bits must not matter), plus both ends of the range.
+  constexpr u64 kMaxK = (u64{1} << 53) - 1;
+  for (const RmatParams& p : kRmatParams) {
+    const RmatSampler sample(1, p.a, p.b, p.c);
+    std::vector<u64> ks{0, kMaxK};
+    for (const double t : {p.a, p.a + p.b, p.a + p.b + p.c}) {
+      const u64 k = RmatSampler::threshold(t);
+      for (const u64 probe : {k - 1, k, k + 1}) {
+        if (k == 0 && probe == k - 1) continue;
+        ks.push_back(std::min(probe, kMaxK));
+      }
+    }
+    for (const u64 k : ks) {
+      for (const u64 low : {u64{0}, u64{0x7ff}}) {
+        ScriptedWords words{{(k << 11) | low}};
+        EXPECT_EQ(sample(words),
+                  reference_quadrant(static_cast<double>(k) * 0x1.0p-53,
+                                     p.a, p.b, p.c))
+            << "a=" << p.a << " b=" << p.b << " c=" << p.c << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(RmatSampler, MatchesTheCompareChainOnSeededDraws) {
+  // 2 x 10^5 scale-20 edges per parameterization, 10^6 in all, drawn
+  // from two generators on the same seed.
+  for (const RmatParams& p : kRmatParams) {
+    const RmatSampler sample(20, p.a, p.b, p.c);
+    Rng fast(31), reference(31);
+    for (u32 e = 0; e < 200000; ++e) {
+      const auto edge = sample(fast);
+      const auto expected = reference_rmat_edge(reference, 20, p.a, p.b, p.c);
+      ASSERT_EQ(edge, expected) << "a=" << p.a << " b=" << p.b
+                                << " c=" << p.c << " edge " << e;
+    }
+  }
 }
 
 TEST(Kronecker, EvenMoreSkewedThanRmat) {

@@ -21,6 +21,10 @@
 #  5. slow-request hook: --slow-ms=0 must write one span tree per
 #     completed request into --slow-dir, and a second serving with a huge
 #     threshold must write none.
+# `cmake -P` starts with no policies set: choose list()'s modern handling
+# of empty elements so list(GET) below runs without a CMP0007 warning.
+cmake_policy(SET CMP0007 NEW)
+
 foreach(var ECLP_SERVE ECLP_METRICS WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "metrics_smoke.cmake needs -D${var}=...")

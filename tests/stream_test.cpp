@@ -256,6 +256,57 @@ TEST(StreamPa, ResolvesToValidBarabasiAlbertStructure) {
   EXPECT_GT(clique_degree / 5, u64{4} * 4);
 }
 
+TEST(StreamPa, CanonicalSequenceMatchesAFullRngPerDraw) {
+  // The stream's position draw is Rng(stream_block_seed(seed, pa, i))
+  // .below(bound), computed without building the Rng when it can be.
+  // Replay the class comment's definition with a full Rng per draw.
+  const vidx n = 3000;
+  const u32 m = 5;
+  const u64 seed = 77;
+  std::vector<vidx> skeleton;
+  for (vidx u = 0; u <= m; ++u) {
+    for (vidx v = u + 1; v <= m; ++v) {
+      skeleton.push_back(u);
+      skeleton.push_back(v);
+    }
+  }
+  const auto source_of = [&](u64 i) {
+    return static_cast<vidx>(m + 1 + i / m);
+  };
+  const auto choice = [&](u64 i) {
+    Rng rng(gen::stream_block_seed(seed, gen::kStreamTagPa, i));
+    return rng.below(skeleton.size() + 2 * i);
+  };
+  std::vector<std::pair<vidx, vidx>> expected;
+  for (usize p = 0; p < skeleton.size(); p += 2) {
+    expected.emplace_back(skeleton[p], skeleton[p + 1]);
+  }
+  for (u64 i = 0; i < u64{n - m - 1} * m; ++i) {
+    u64 pos = choice(i);
+    vidx v = 0;
+    while (true) {
+      if (pos < skeleton.size()) {
+        v = skeleton[pos];
+        break;
+      }
+      const u64 j = (pos - skeleton.size()) / 2;
+      if ((pos - skeleton.size()) % 2 == 0) {
+        v = source_of(j);
+        break;
+      }
+      pos = choice(j);
+    }
+    if (v != source_of(i)) expected.emplace_back(source_of(i), v);
+  }
+
+  const gen::PreferentialAttachmentStream source(n, m, seed, 7);
+  std::vector<std::pair<vidx, vidx>> seq;
+  for (u64 c = 0; c < source.num_chunks(); ++c) {
+    source.emit(c, [&](vidx u, vidx v) { seq.emplace_back(u, v); });
+  }
+  EXPECT_EQ(seq, expected);
+}
+
 TEST(StreamChunks, DefaultIsProcessWideAndRestorable) {
   const u64 original = gen::gen_chunks();
   gen::set_gen_chunks(13);

@@ -54,6 +54,14 @@ TEST(Prng, SameSeedSameStream) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
 }
 
+TEST(Prng, FirstOutputMatchesAFreshGenerator) {
+  for (const u64 seed : {u64{0}, u64{1}, u64{42}, ~u64{0},
+                         splitmix64(7), splitmix64(8)}) {
+    Rng rng(seed);
+    EXPECT_EQ(Rng::first_output(seed), rng()) << "seed=" << seed;
+  }
+}
+
 TEST(Prng, DifferentSeedsDifferentStreams) {
   Rng a(7), b(8);
   int same = 0;

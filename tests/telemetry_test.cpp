@@ -294,6 +294,13 @@ TEST(MetricsDiff, HistogramOnOneSideIsListedAddedOrRemoved) {
   EXPECT_EQ(e->status, profile::DiffStatus::kRemoved);
   EXPECT_EQ(removed.regressions(), 0u);
   EXPECT_NE(removed.to_string().find("removed"), std::string::npos);
+  EXPECT_NE(removed.to_string(true).find("removed    "
+                                         "histogram/serve.latency_us.cc"),
+            std::string::npos);
+  EXPECT_NE(removed.to_string().find(" 0 (gone)\n"), std::string::npos)
+      << removed.to_string();
+  EXPECT_EQ(removed.to_string().find("(+0.00%)"), std::string::npos)
+      << removed.to_string();
 
   const profile::DiffReport added =
       serve::diff_metrics_snapshots(cand, base, 0.0, 10.0);
