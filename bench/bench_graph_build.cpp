@@ -10,17 +10,21 @@
 //      the ingest pool while the parallel build runs (on a single-core
 //      host, wall-clock speedup is unavailable, so this is the evidence
 //      that the pipeline actually fans out);
-//   3. parse_serial_vs_parallel — chunked Matrix Market / edge-list /
-//      DIMACS parsing at 1 vs. N ingest threads;
+//   3. parse_serial_vs_parallel — chunked Matrix Market (pattern and
+//      weighted symmetric) / edge-list / DIMACS parsing at 1 vs. N ingest
+//      threads;
 //   4. cache_cold_vs_warm — cold generate+build vs. warm cache hit for the
 //      same inputs, with the speedup factor (target: >= 5x);
 //   5. build_peak_rss — materialized (edge list + Builder) vs. streamed
 //      (build_from_chunks, no edge list) peak RSS for the chunked
 //      generator streams; above tiny scale these rows are the scale=huge
 //      suite parameterizations (~10^8 arcs) and the streamed peak must
-//      stay under 2x the final CSR bytes;
+//      stay under 2x the final CSR bytes. One graph is also rendered to
+//      .mtx in memory and parsed back (a "parsed" row: peak over the text
+//      already held, at most 1.5x the CSR above tiny scale);
 //   6. gen_throughput_scaling — streamed generation+build throughput
 //      (million edges per second) across ingest thread counts.
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <vector>
@@ -122,18 +126,20 @@ PeakSample measure_peak(Fn&& fn) {
 
 /// One build_peak_rss row: both assembly paths over the same chunk
 /// source (type-erased; the source is tiny, copying it is free).
+/// `parse_back` adds a parsed row for the streamed graph.
 struct RssRow {
   std::string name;
   u64 emitted;  ///< canonical-sequence edge count (pre-mirror/dedupe)
   std::function<graph::Csr()> materialized;
   std::function<graph::Csr()> streamed;
+  bool parse_back = false;
 };
 
 template <typename Source>
-RssRow rss_row(std::string name, Source source) {
+RssRow rss_row(std::string name, Source source, bool parse_back = false) {
   return {std::move(name), source.estimated_edges(),
           [source] { return graph::build_materialized(source); },
-          [source] { return graph::build_from_chunks(source); }};
+          [source] { return graph::build_from_chunks(source); }, parse_back};
 }
 
 }  // namespace
@@ -234,6 +240,16 @@ int main(int argc, char** argv) {
                       }});
     }
     {
+      // Weighted and undirected: each pass replays the body twice,
+      // originals before mirrors (docs/INGEST.md).
+      std::stringstream ss;
+      graph::write_matrix_market(weighted, ss);
+      std::string text = ss.str();
+      fmts.push_back({".mtx (weighted symmetric)", text, [text] {
+                        return graph::parse_matrix_market(text);
+                      }});
+    }
+    {
       std::stringstream ss;
       graph::write_edge_list(g, ss);
       std::string text = ss.str();
@@ -301,7 +317,7 @@ int main(int argc, char** argv) {
           gen::RmatStream(22, u64{8} << 22, 0.45, 0.22, 0.22, 2)));
       rows.push_back(rss_row(
           "kron_g500-logn21 (huge)",
-          gen::RmatStream(21, u64{22} << 21, 0.57, 0.19, 0.19, 3)));
+          gen::RmatStream(21, u64{22} << 21, 0.57, 0.19, 0.19, 3), true));
       rows.push_back(rss_row(
           "as-skitter (huge)",
           gen::PreferentialAttachmentStream(vidx{1} << 21, 7, 4)));
@@ -310,7 +326,7 @@ int main(int argc, char** argv) {
           "uniform (tiny)", gen::UniformRandomStream(1 << 14, 1 << 16, 1)));
       rows.push_back(rss_row(
           "rmat (tiny)",
-          gen::RmatStream(14, 1 << 16, 0.45, 0.22, 0.22, 2)));
+          gen::RmatStream(14, 1 << 16, 0.45, 0.22, 0.22, 2), true));
       rows.push_back(rss_row(
           "pa (tiny)",
           gen::PreferentialAttachmentStream(1 << 14, 7, 4)));
@@ -344,6 +360,37 @@ int main(int argc, char** argv) {
                                         : fmt::fixed(stream_mib / csr_mib, 2),
                  identical ? "yes" : "NO"});
       ECLP_CHECK_MSG(identical, "streamed build diverged from materialized");
+      if (!row.parse_back) continue;
+
+      // The streamed graph as .mtx text, parsed back. The text is held
+      // before the window opens, so the peak is the parse's own: the CSR
+      // plus the build's fixed buffers, no edge list.
+      std::string text;
+      {
+        std::ostringstream os;
+        graph::write_matrix_market(stream.g, os);
+        text = std::move(os).str();
+      }
+      const u64 entries =
+          static_cast<u64>(std::count(text.begin(), text.end(), '\n')) - 2;
+      const auto parsed =
+          measure_peak([&] { return graph::parse_matrix_market(text); });
+      const double parsed_mib =
+          static_cast<double>(parsed.peak_delta) / (1024.0 * 1024.0);
+      const bool same = bytes_of(parsed.g) == bytes_of(stream.g);
+      t.add_row({row.name + " parsed .mtx", std::to_string(entries),
+                 std::to_string(parsed.g.num_edges()), fmt::fixed(csr_mib, 1),
+                 "-", "-",
+                 parsed.peak_delta == 0 ? "-" : fmt::fixed(parsed_mib, 1),
+                 fmt::fixed(parsed.ms, 0),
+                 parsed.peak_delta == 0 ? "-"
+                                        : fmt::fixed(parsed_mib / csr_mib, 2),
+                 same ? "yes" : "NO"});
+      ECLP_CHECK_MSG(same, "parsed .mtx diverged from the streamed build");
+      ECLP_CHECK_MSG(!huge || parsed.peak_delta == 0 ||
+                         parsed_mib <= 1.5 * csr_mib,
+                     "parsed .mtx peaked at " << parsed_mib << " MiB over a "
+                                              << csr_mib << " MiB CSR");
     }
     set_build_threads(threads);
     harness::emit(ctx, "build_peak_rss", t);

@@ -22,22 +22,6 @@ void Builder::add(vidx src, vidx dst, weight_t w) {
   edges_.push_back({src, dst, w});
 }
 
-void Builder::add_edges(std::span<const Edge> edges) {
-  // Geometric growth: size + batch would make a loop of B-edge batches
-  // reallocate (and copy the whole staging vector) once per call. Doubling
-  // amortizes that to O(total) even when no reserve_edges hint was given.
-  const usize needed = edges_.size() + edges.size();
-  if (needed > edges_.capacity()) {
-    edges_.reserve(std::max(needed, edges_.capacity() * 2));
-  }
-  for (const Edge& e : edges) {
-    ECLP_CHECK_MSG(e.src < num_vertices_ && e.dst < num_vertices_,
-                   "edge (" << e.src << "," << e.dst << ") out of range, n="
-                            << num_vertices_);
-    edges_.push_back(e);
-  }
-}
-
 void Builder::reserve_edges(u64 edges) {
   edges_.reserve(static_cast<usize>(
       std::min<u64>(edges, edges_.max_size())));

@@ -1,9 +1,10 @@
 // Edge-list (COO) accumulation and conversion to CSR.
 //
-// All generators and file readers produce edges through this builder, which
-// handles symmetrization, deduplication, self-loop removal, and adjacency
-// sorting. Sorted adjacency matters to the algorithms: ECL-CC's init
-// heuristic relies on the smallest neighbor appearing first (paper §6.1.3).
+// The legacy generators and the transforms stage edges here (the streamed
+// generators and text readers feed build_from_chunks directly). It handles
+// symmetrization, deduplication, self-loop removal, and adjacency sorting.
+// Sorted adjacency matters to the algorithms: ECL-CC's init heuristic
+// relies on the smallest neighbor appearing first (paper §6.1.3).
 //
 // build() is a thin adapter: it serves the staged edge list as a chunk
 // source to build_from_chunks (graph/stream_build.hpp), the one CSR
@@ -16,7 +17,6 @@
 // (support/parallel_for.hpp).
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -46,21 +46,12 @@ class Builder {
   explicit Builder(vidx num_vertices) : num_vertices_(num_vertices) {}
 
   vidx num_vertices() const { return num_vertices_; }
-  usize num_pending_edges() const { return edges_.size(); }
 
   /// Add one arc (or one undirected edge — mirroring happens in build()).
   void add(vidx src, vidx dst, weight_t w = 0);
 
-  /// Bulk append (range-checked). The chunk-parallel readers hand their
-  /// per-chunk buffers over in chunk order through this. Capacity grows
-  /// geometrically (never by just the batch size), so bursty per-chunk
-  /// emission does not reallocate the staging vector once per batch —
-  /// pass the total through reserve_edges() up front to skip the growth
-  /// entirely.
-  void add_edges(std::span<const Edge> edges);
-
-  /// Capacity hint: generators and readers that know (or can estimate)
-  /// their edge count call this once before emitting. Deliberately u64 —
+  /// Capacity hint: generators that know (or can estimate) their edge
+  /// count call this once before emitting. Deliberately u64 —
   /// huge-scale estimates are computed in 64 bits; the builder clamps to
   /// what the address space can hold.
   void reserve_edges(u64 edges);

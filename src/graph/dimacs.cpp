@@ -1,15 +1,11 @@
 #include "graph/dimacs.hpp"
 
-#include <algorithm>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "graph/builder.hpp"
+#include "graph/stream_build.hpp"
 #include "graph/text_parse.hpp"
-#include "support/parallel_for.hpp"
 
 namespace eclp::graph {
 
@@ -43,65 +39,55 @@ Header read_header(std::string_view& text, const std::string& expected_kind) {
   return {};
 }
 
-/// Chunk-parallel sweep over the body lines: every line must be a comment,
-/// blank, or start with `tag`; fn parses the payload after the tag into the
-/// chunk's private edge buffer. Buffers come back in chunk order, so the
-/// concatenation equals a serial sweep (docs/INGEST.md).
-template <typename ParseLine>
-std::vector<std::vector<Edge>> parse_body(std::string_view body, char tag,
-                                          const char* what,
-                                          ParseLine&& parse_line) {
-  Pool* pool = build_pool();
-  const auto chunks =
-      detail::chunk_at_lines(body, pool == nullptr ? 1 : pool->size());
-  std::vector<std::vector<Edge>> chunk_edges(chunks.size());
-  parallel_for_chunks(
-      pool, chunks.size(), chunks.size(), [&](u64 c, u64, u64, u32) {
-        std::vector<Edge>& out = chunk_edges[c];
-        out.reserve(chunks[c].size() / 8 + 1);
-        detail::for_each_line(chunks[c], [&](std::string_view line) {
-          if (line.empty() || line[0] == 'c') return;
-          ECLP_CHECK_MSG(line[0] == tag, "dimacs " << what << ": expected '"
-                                                   << tag
-                                                   << "' line: " << line);
-          parse_line(line.substr(1), line, out);
-        });
+/// Build from the body after the 'p' line, served as a chunk source
+/// (docs/INGEST.md): every line must be a comment, blank, or start with
+/// `tag`, and parse_arc(payload, line, sink) reads what follows the tag.
+/// A line count checks the header's edge count before the build parses.
+template <typename ParseArc>
+Csr build_body(std::string_view body, const Header& h, char tag,
+               const char* what, const char* unit, const BuildOptions& opt,
+               ParseArc parse_arc) {
+  const auto is_comment = [](std::string_view line) {
+    return line.empty() || line[0] == 'c';
+  };
+  const detail::TextChunkSource source(
+      static_cast<vidx>(h.vertices), body,
+      [=](std::string_view line, auto&& sink) {
+        if (is_comment(line)) return;
+        ECLP_CHECK_MSG(line[0] == tag, "dimacs " << what << ": expected '"
+                                                 << tag << "' line: " << line);
+        parse_arc(line.substr(1), line, sink);
       });
-  return chunk_edges;
+  const u64 lines = source.count_lines(
+      [&](std::string_view line) { return !is_comment(line); });
+  ECLP_CHECK_MSG(lines == h.edges, "dimacs " << what << ": header promised "
+                                             << h.edges << ' ' << unit
+                                             << ", file had " << lines);
+  return build_from_chunks(source, opt);
 }
 
 }  // namespace
 
 Csr parse_dimacs_sp(std::string_view text, bool symmetrize) {
   const Header h = read_header(text, "sp");
-  const auto chunk_edges = parse_body(
-      text, 'a', "sp",
-      [&](std::string_view s, std::string_view line, std::vector<Edge>& out) {
+  BuildOptions opt;
+  opt.directed = !symmetrize;
+  opt.weighted = true;
+  return build_body(
+      text, h, 'a', "sp", "arcs", opt,
+      [n = h.vertices](std::string_view s, std::string_view line,
+                       auto&& sink) {
         u64 u = 0, v = 0, w = 0;
         ECLP_CHECK_MSG(detail::parse_u64(s, u) && detail::parse_u64(s, v) &&
                            detail::parse_u64(s, w),
                        "dimacs sp: malformed arc: " << line);
-        ECLP_CHECK_MSG(u >= 1 && u <= h.vertices && v >= 1 && v <= h.vertices,
+        ECLP_CHECK_MSG(u >= 1 && u <= n && v >= 1 && v <= n,
                        "dimacs sp: arc endpoint out of range: " << line);
-        out.push_back({static_cast<vidx>(u - 1), static_cast<vidx>(v - 1),
-                       static_cast<weight_t>(w)});
+        ECLP_CHECK_MSG(detail::fits_weight(w),
+                       "dimacs sp: weight out of range: " << line);
+        sink(static_cast<vidx>(u - 1), static_cast<vidx>(v - 1),
+             static_cast<weight_t>(w));
       });
-  u64 arcs = 0;
-  for (const auto& ce : chunk_edges) arcs += ce.size();
-  ECLP_CHECK_MSG(arcs == h.edges, "dimacs sp: header promised "
-                                      << h.edges << " arcs, file had "
-                                      << arcs);
-  Builder b(static_cast<vidx>(h.vertices));
-  b.reserve_edges(arcs);
-  for (const auto& ce : chunk_edges) b.add_edges(ce);
-  BuildOptions opt;
-  opt.directed = !symmetrize;
-  opt.weighted = true;
-  return b.build(opt);
-}
-
-Csr read_dimacs_sp(std::istream& is, bool symmetrize) {
-  return parse_dimacs_sp(detail::slurp(is), symmetrize);
 }
 
 void write_dimacs_sp(const Csr& g, std::ostream& os) {
@@ -120,29 +106,17 @@ void write_dimacs_sp(const Csr& g, std::ostream& os) {
 
 Csr parse_dimacs_col(std::string_view text) {
   const Header h = read_header(text, "edge");
-  const auto chunk_edges = parse_body(
-      text, 'e', "col",
-      [&](std::string_view s, std::string_view line, std::vector<Edge>& out) {
+  return build_body(
+      text, h, 'e', "col", "edges", BuildOptions{},
+      [n = h.vertices](std::string_view s, std::string_view line,
+                       auto&& sink) {
         u64 u = 0, v = 0;
         ECLP_CHECK_MSG(detail::parse_u64(s, u) && detail::parse_u64(s, v),
                        "dimacs col: malformed edge: " << line);
-        ECLP_CHECK_MSG(u >= 1 && u <= h.vertices && v >= 1 && v <= h.vertices,
+        ECLP_CHECK_MSG(u >= 1 && u <= n && v >= 1 && v <= n,
                        "dimacs col: endpoint out of range: " << line);
-        out.push_back({static_cast<vidx>(u - 1), static_cast<vidx>(v - 1), 0});
+        sink(static_cast<vidx>(u - 1), static_cast<vidx>(v - 1));
       });
-  u64 edges = 0;
-  for (const auto& ce : chunk_edges) edges += ce.size();
-  ECLP_CHECK_MSG(edges == h.edges, "dimacs col: header promised "
-                                       << h.edges << " edges, file had "
-                                       << edges);
-  Builder b(static_cast<vidx>(h.vertices));
-  b.reserve_edges(edges);
-  for (const auto& ce : chunk_edges) b.add_edges(ce);
-  return b.build();
-}
-
-Csr read_dimacs_col(std::istream& is) {
-  return parse_dimacs_col(detail::slurp(is));
 }
 
 void write_dimacs_col(const Csr& g, std::ostream& os) {

@@ -8,12 +8,11 @@
 #include <string>
 #include <vector>
 
-#include "graph/builder.hpp"
 #include "graph/cache.hpp"
 #include "graph/dimacs.hpp"
+#include "graph/stream_build.hpp"
 #include "graph/text_parse.hpp"
 #include "support/file.hpp"
-#include "support/parallel_for.hpp"
 
 namespace eclp::graph {
 
@@ -155,107 +154,97 @@ Csr parse_matrix_market(std::string_view text) {
   ECLP_CHECK_MSG(rows == cols, "matrix market: matrix must be square");
   ECLP_CHECK_MSG(rows < kNoVertex, "matrix market: too many vertices");
 
-  // Chunk-parallel entry parse: byte ranges split at line boundaries, one
-  // private edge buffer per chunk, buffers appended in chunk order — the
-  // merged sequence equals a serial line-by-line sweep (docs/INGEST.md).
-  Pool* pool = build_pool();
-  const auto chunks =
-      detail::chunk_at_lines(rest, pool == nullptr ? 1 : pool->size());
-  std::vector<std::vector<Edge>> chunk_edges(chunks.size());
-  parallel_for_chunks(
-      pool, chunks.size(), chunks.size(), [&](u64 c, u64, u64, u32) {
-        std::vector<Edge>& out = chunk_edges[c];
-        out.reserve(chunks[c].size() / 8 + 1);
-        detail::for_each_line(chunks[c], [&](std::string_view line) {
-          if (line.empty()) return;
-          u64 r = 0, cc = 0;
-          double w = 0.0;
-          std::string_view s = line;
-          ECLP_CHECK_MSG(parse_u64(s, r) && parse_u64(s, cc),
-                         "matrix market: malformed entry: " << line);
-          if (weighted) parse_f64(s, w);
-          ECLP_CHECK_MSG(r >= 1 && r <= rows && cc >= 1 && cc <= cols,
-                         "matrix market: index out of range: " << line);
-          out.push_back({static_cast<vidx>(r - 1), static_cast<vidx>(cc - 1),
-                         static_cast<weight_t>(w)});
-        });
+  // The entry body is a chunk source: the build's count and scatter
+  // passes each parse it (docs/INGEST.md). Every non-blank line is an
+  // entry, so a line count checks the header first.
+  const detail::TextChunkSource source(
+      static_cast<vidx>(rows), rest,
+      [&](std::string_view line, auto&& sink) {
+        if (line.empty()) return;
+        u64 r = 0, cc = 0;
+        std::string_view s = line;
+        ECLP_CHECK_MSG(parse_u64(s, r) && parse_u64(s, cc),
+                       "matrix market: malformed entry: " << line);
+        ECLP_CHECK_MSG(r >= 1 && r <= rows && cc >= 1 && cc <= cols,
+                       "matrix market: index out of range: " << line);
+        weight_t w = 0;
+        if (weighted) {
+          double x = 0.0;
+          ECLP_CHECK_MSG(parse_f64(s, x),
+                         "matrix market: missing weight: " << line);
+          ECLP_CHECK_MSG(detail::fits_weight(x),
+                         "matrix market: weight out of range: " << line);
+          w = static_cast<weight_t>(x);
+        }
+        sink(static_cast<vidx>(r - 1), static_cast<vidx>(cc - 1), w);
       });
-
-  u64 total = 0;
-  for (const auto& ce : chunk_edges) total += ce.size();
+  const u64 total =
+      source.count_lines([](std::string_view line) { return !line.empty(); });
   ECLP_CHECK_MSG(total == entries, "matrix market: header promised "
                                        << entries << " entries, file had "
                                        << total);
-  Builder b(static_cast<vidx>(rows));
-  b.reserve_edges(total);
-  for (const auto& ce : chunk_edges) b.add_edges(ce);
   BuildOptions opt;
   opt.directed = !symmetric;
   opt.weighted = weighted;
-  return b.build(opt);
-}
-
-Csr read_matrix_market(std::istream& is) {
-  return parse_matrix_market(detail::slurp(is));
+  return build_from_chunks(source, opt);
 }
 
 Csr parse_edge_list(std::string_view text, bool directed, vidx num_vertices) {
   using detail::parse_u64;
 
-  Pool* pool = build_pool();
-  const auto chunks =
-      detail::chunk_at_lines(text, pool == nullptr ? 1 : pool->size());
-  struct ChunkResult {
-    std::vector<Edge> edges;
+  // A 2-token line is an unweighted edge, a 3-token line a weighted one.
+  // A third token that starts like a number must be a weight_t; other
+  // trailing noise is ignored, as the stream-based reader always did.
+  const auto parse_line = [](std::string_view line, auto&& sink) {
+    if (line.empty() || line[0] == '#' || line[0] == '%') return;
+    u64 u = 0, v = 0, w = 0;
+    std::string_view s = line;
+    ECLP_CHECK_MSG(parse_u64(s, u) && parse_u64(s, v),
+                   "edge list: malformed line: " << line);
+    ECLP_CHECK_MSG(u < kNoVertex && v < kNoVertex, "edge list: id too large");
+    const vidx src = static_cast<vidx>(u), dst = static_cast<vidx>(v);
+    detail::skip_spaces(s);
+    if (s.empty() || (s[0] != '-' && (s[0] < '0' || s[0] > '9'))) {
+      sink(src, dst);
+      return;
+    }
+    ECLP_CHECK_MSG(parse_u64(s, w) && detail::fits_weight(w),
+                   "edge list: weight out of range: " << line);
+    sink(src, dst, static_cast<weight_t>(w));
+  };
+
+  // No header: one parsing scan finds the largest id, the edge count and
+  // whether any line carries a weight, before the build's two passes.
+  struct Scan {
     vidx max_id = 0;
+    u64 edges = 0;
     bool weighted = false;
   };
-  std::vector<ChunkResult> results(chunks.size());
-  parallel_for_chunks(
-      pool, chunks.size(), chunks.size(), [&](u64 c, u64, u64, u32) {
-        ChunkResult& out = results[c];
-        out.edges.reserve(chunks[c].size() / 8 + 1);
-        detail::for_each_line(chunks[c], [&](std::string_view line) {
-          if (line.empty() || line[0] == '#' || line[0] == '%') return;
-          u64 u = 0, v = 0, w = 0;
-          std::string_view s = line;
-          ECLP_CHECK_MSG(parse_u64(s, u) && parse_u64(s, v),
-                         "edge list: malformed line: " << line);
-          // A third numeric token is a weight; trailing non-numeric noise
-          // is ignored, as the stream-based reader always did.
-          if (parse_u64(s, w)) out.weighted = true;
-          ECLP_CHECK_MSG(u < kNoVertex && v < kNoVertex,
-                         "edge list: id too large");
-          out.max_id = std::max({out.max_id, static_cast<vidx>(u),
-                                 static_cast<vidx>(v)});
-          out.edges.push_back({static_cast<vidx>(u), static_cast<vidx>(v),
-                               static_cast<weight_t>(w)});
-        });
-      });
-
-  vidx max_id = 0;
-  bool weighted = false;
-  u64 total = 0;
-  for (const ChunkResult& r : results) {
-    max_id = std::max(max_id, r.max_id);
-    weighted = weighted || r.weighted;
-    total += r.edges.size();
+  const detail::TextChunkSource scan_source(0, text, parse_line);
+  std::vector<Scan> scans(scan_source.num_chunks());
+  scan_source.for_each_chunk([&](u64 c) {
+    Scan s;  // local: neighbouring chunks' results share a cache line
+    scan_source.emit(c, [&s](vidx u, vidx v, auto... w) {
+      s.max_id = std::max({s.max_id, u, v});
+      ++s.edges;
+      s.weighted = s.weighted || sizeof...(w) > 0;
+    });
+    scans[c] = s;
+  });
+  Scan all;
+  for (const Scan& s : scans) {
+    all.max_id = std::max(all.max_id, s.max_id);
+    all.edges += s.edges;
+    all.weighted = all.weighted || s.weighted;
   }
   const vidx n = num_vertices > 0 ? num_vertices
-                                  : (total == 0 ? 0 : max_id + 1);
-  ECLP_CHECK_MSG(n > max_id || total == 0,
+                                  : (all.edges == 0 ? 0 : all.max_id + 1);
+  ECLP_CHECK_MSG(n > all.max_id || all.edges == 0,
                  "edge list: forced vertex count too small");
-  Builder b(n);
-  b.reserve_edges(total);
-  for (const ChunkResult& r : results) b.add_edges(r.edges);
   BuildOptions opt;
   opt.directed = directed;
-  opt.weighted = weighted;
-  return b.build(opt);
-}
-
-Csr read_edge_list(std::istream& is, bool directed, vidx num_vertices) {
-  return parse_edge_list(detail::slurp(is), directed, num_vertices);
+  opt.weighted = all.weighted;
+  return build_from_chunks(detail::TextChunkSource(n, text, parse_line), opt);
 }
 
 namespace {

@@ -25,19 +25,18 @@ Csr load_binary(const std::string& path);
 
 /// Matrix Market coordinate format. Reading accepts `pattern` (unweighted)
 /// and `integer`/`real` (weighted, reals truncated) entries, and `general`
-/// or `symmetric` symmetry. 1-based indices per the spec. Parsing is
-/// chunk-parallel on the build pool (per-chunk edge buffers merged in
-/// chunk order — see docs/INGEST.md); the result is identical at any
-/// thread count. parse_* are the in-memory entry points the read_*
-/// stream wrappers delegate to.
+/// or `symmetric` symmetry. 1-based indices per the spec. A weight that
+/// is NaN, infinite, <= -1 or >= 2^32, or missing on a weighted entry, is
+/// a CheckFailure. Parsing is chunk-parallel on the build pool: the body
+/// is a chunk source that each build pass parses again, with no edge
+/// buffer (docs/INGEST.md); the result is identical at any thread count.
 void write_matrix_market(const Csr& g, std::ostream& os);
-Csr read_matrix_market(std::istream& is);
 Csr parse_matrix_market(std::string_view text);
 
 /// Edge list: one "u v" or "u v w" per line; lines starting with '#' or '%'
 /// are comments. Vertex count is 1 + max id unless `num_vertices` forces it.
-Csr read_edge_list(std::istream& is, bool directed = false,
-                   vidx num_vertices = 0);
+/// A third token that is negative or above 2^32 - 1 is a CheckFailure. One
+/// parsing scan finds the vertex count before the build parses the text.
 Csr parse_edge_list(std::string_view text, bool directed = false,
                     vidx num_vertices = 0);
 void write_edge_list(const Csr& g, std::ostream& os);

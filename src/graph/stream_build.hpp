@@ -14,10 +14,11 @@
 // both write-combined per row partition (RowBuffers), followed by a
 // per-row sort by destination, a keep-first dedupe and an in-place
 // compaction over arc-balanced row chunks. Peak memory is the final CSR
-// plus the cursor matrix and a fixed buffer per worker: a generated
-// stream's edge list never exists. Builder::build
-// (builder.cpp) serves its staged edge list as a VectorChunkSource, so
-// generated, parsed and relabelled graphs all take this path too.
+// plus the cursor matrix and a fixed buffer per worker: the edge list of a
+// generated stream or a parsed text file (detail::TextChunkSource,
+// graph/text_parse.hpp) never exists. Builder::build (builder.cpp) serves
+// its staged edge list as a VectorChunkSource, so relabelled graphs and
+// the legacy generators take this path too.
 //
 // Determinism contract (docs/INGEST.md "One assembly pipeline"): emission
 // within a chunk is sequential and a pure function of the chunk id, so

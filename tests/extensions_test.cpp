@@ -185,7 +185,7 @@ TEST(DimacsSp, ReadsHandWrittenFile) {
       "a 1 2 7\n"
       "a 2 3 9\n"
       "a 3 1 2\n");
-  const auto g = graph::read_dimacs_sp(ss);
+  const auto g = graph::parse_dimacs_sp(ss.str());
   EXPECT_EQ(g.num_vertices(), 3u);
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_TRUE(g.directed());
@@ -201,31 +201,31 @@ TEST(DimacsSp, RoundtripWeightedDirected) {
       6, {{0, 1, 3}, {1, 0, 3}, {2, 5, 8}, {4, 3, 1}}, opt);
   std::stringstream ss;
   graph::write_dimacs_sp(g, ss);
-  const auto back = graph::read_dimacs_sp(ss);
+  const auto back = graph::parse_dimacs_sp(ss.str());
   EXPECT_TRUE(back == g);
 }
 
 TEST(DimacsSp, HeaderCountMismatchThrows) {
   std::stringstream ss("p sp 2 2\na 1 2 1\n");
-  EXPECT_THROW(graph::read_dimacs_sp(ss), CheckFailure);
+  EXPECT_THROW(graph::parse_dimacs_sp(ss.str()), CheckFailure);
 }
 
 TEST(DimacsSp, WrongKindThrows) {
   std::stringstream ss("p edge 2 1\ne 1 2\n");
-  EXPECT_THROW(graph::read_dimacs_sp(ss), CheckFailure);
+  EXPECT_THROW(graph::parse_dimacs_sp(ss.str()), CheckFailure);
 }
 
 TEST(DimacsCol, RoundtripUndirected) {
   const auto g = gen::uniform_random(40, 100, 3);
   std::stringstream ss;
   graph::write_dimacs_col(g, ss);
-  const auto back = graph::read_dimacs_col(ss);
+  const auto back = graph::parse_dimacs_col(ss.str());
   EXPECT_TRUE(back == g);
 }
 
 TEST(DimacsCol, OutOfRangeEndpointThrows) {
   std::stringstream ss("p edge 2 1\ne 1 5\n");
-  EXPECT_THROW(graph::read_dimacs_col(ss), CheckFailure);
+  EXPECT_THROW(graph::parse_dimacs_col(ss.str()), CheckFailure);
 }
 
 // --- reorder ---------------------------------------------------------------------

@@ -355,6 +355,57 @@ TEST(ChunkedParse, AllFormatsByteIdenticalAcrossThreadCounts) {
                      parsed_reference(undirected, true, false)});
   }
 
+  {
+    // Weighted symmetric .mtx listing both (u,v) and (v,u) with different
+    // weights: only the originals-before-mirrors replay keeps each row's
+    // own entry.
+    std::vector<graph::Edge> arcs = edges_of(undirected, false);
+    std::string text =
+        "%%MatrixMarket matrix coordinate integer symmetric\n" +
+        std::to_string(undirected.num_vertices()) + ' ' +
+        std::to_string(undirected.num_vertices()) + ' ' +
+        std::to_string(arcs.size()) + '\n';
+    for (usize i = 0; i < arcs.size(); ++i) {
+      arcs[i].w = static_cast<weight_t>(i + 1);
+      text += std::to_string(arcs[i].src + 1) + ' ' +
+              std::to_string(arcs[i].dst + 1) + ' ' +
+              std::to_string(arcs[i].w) + '\n';
+    }
+    graph::BuildOptions opt;
+    opt.weighted = true;
+    cases.push_back(
+        {"weighted symmetric mtx", text,
+         [text] { return graph::parse_matrix_market(text); },
+         bytes_of(reference_build(undirected.num_vertices(), arcs, opt))});
+  }
+  {
+    // Weighted directed .el: repeated arcs with a different weight (keep
+    // the first) and some 2-token lines (weight 0) among the 3-token ones.
+    std::vector<graph::Edge> arcs;
+    std::string text;
+    const auto listed = edges_of(undirected, false);
+    for (usize i = 0; i < listed.size(); ++i) {
+      graph::Edge e = listed[i];
+      e.w = i % 11 == 0 ? 0 : static_cast<weight_t>(i % 1000 + 1);
+      for (u32 rep = 0; rep < (i % 5 == 0 ? 2u : 1u); ++rep) {
+        arcs.push_back(e);
+        text += std::to_string(e.src) + ' ' + std::to_string(e.dst);
+        if (i % 11 != 0) text += ' ' + std::to_string(e.w);
+        text += '\n';
+        e.w += 7;
+      }
+    }
+    const vidx n = undirected.num_vertices();
+    graph::BuildOptions opt;
+    opt.directed = true;
+    opt.weighted = true;
+    cases.push_back({"weighted directed el", text,
+                     [text, n] {
+                       return graph::parse_edge_list(text, true, n);
+                     },
+                     bytes_of(reference_build(n, arcs, opt))});
+  }
+
   for (const Case& c : cases) {
     const std::string& reference = c.reference;
     for (const u32 threads : {1u, 2u, 7u}) {
@@ -369,16 +420,54 @@ TEST(ChunkedParse, AllFormatsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(bytes_of(cases[1].parse()), bytes_of(undirected));  // el
 }
 
+/// A malformed line in the last chunk at 7 build threads is still a
+/// CheckFailure naming that line, in every format. The headers count the
+/// bad line, so the body parse (not the count check) has to catch it.
 TEST(ChunkedParse, MalformedLinesStillRejectedWhenParallel) {
   IngestConfigGuard guard;
   set_build_threads(7);
-  // Enough valid lines that the bad one lands in a later chunk.
-  std::string text;
-  for (u32 i = 0; i < 5000; ++i) {
-    text += std::to_string(i) + " " + std::to_string(i + 1) + "\n";
+  constexpr u32 kLines = 5000;
+  const auto body = [](const char* tag, bool weight) {
+    std::string text;
+    for (u32 i = 1; i < kLines; ++i) {
+      text += tag + std::to_string(i) + " " + std::to_string(i + 1) +
+              (weight ? " 3\n" : "\n");
+    }
+    return text;
+  };
+  const std::string n = std::to_string(kLines + 1);
+  const std::string m = std::to_string(kLines);
+  struct Case {
+    const char* name;
+    std::string text;
+    std::function<graph::Csr(const std::string&)> parse;
+    std::string bad_line;
+  };
+  const Case cases[] = {
+      {"mtx",
+       "%%MatrixMarket matrix coordinate pattern general\n" + n + ' ' + n +
+           ' ' + m + '\n' + body("", false) + "4999 not-a-number\n",
+       [](const std::string& t) { return graph::parse_matrix_market(t); },
+       "4999 not-a-number"},
+      {"el", body("", false) + "4999 not-a-number\n",
+       [](const std::string& t) { return graph::parse_edge_list(t); },
+       "4999 not-a-number"},
+      {"gr", "p sp " + n + ' ' + m + '\n' + body("a ", true) + "a 4999 x 3\n",
+       [](const std::string& t) { return graph::parse_dimacs_sp(t); },
+       "a 4999 x 3"},
+      {"col", "p edge " + n + ' ' + m + '\n' + body("e ", false) + "e 4999 x\n",
+       [](const std::string& t) { return graph::parse_dimacs_col(t); },
+       "e 4999 x"},
+  };
+  for (const Case& c : cases) {
+    try {
+      c.parse(c.text);
+      ADD_FAILURE() << c.name << ": malformed line accepted";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(c.bad_line), std::string::npos)
+          << c.name << ": " << e.what();
+    }
   }
-  text += "4999 not-a-number\n";
-  EXPECT_THROW(graph::parse_edge_list(text), CheckFailure);
 }
 
 // --- adversarial text layouts ------------------------------------------------

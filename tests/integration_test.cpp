@@ -42,7 +42,7 @@ TEST(Integration, SerializeReloadRunScc) {
   const auto g0 = gen::find_input("cold-flow").make(gen::Scale::kTiny);
   std::stringstream ss;
   graph::write_matrix_market(g0, ss);
-  const auto g = graph::read_matrix_market(ss);
+  const auto g = graph::parse_matrix_market(ss.str());
   sim::Device dev;
   const auto res = algos::scc::run(dev, g);
   EXPECT_TRUE(algos::scc::verify(g, res.scc_id));

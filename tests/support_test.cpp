@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
+#include "support/file.hpp"
 #include "support/prng.hpp"
 #include "support/rss.hpp"
 #include "support/stats.hpp"
@@ -40,6 +43,24 @@ TEST(Check, MessageIsStreamed) {
 }
 
 // --- prng --------------------------------------------------------------------
+
+TEST(File, ReadReturnsTheExactBytesWritten) {
+  const auto path = std::filesystem::temp_directory_path() / "eclp_read_file";
+  std::string body(70000, 'x');
+  body[3] = '\0';
+  body.back() = '\n';
+  for (const std::string& b : {std::string(), std::string("a b\n"), body}) {
+    ASSERT_TRUE(write_file(path.string(), b));
+    const std::string back = read_file(path.string());
+    EXPECT_EQ(back, b);
+    // Sized from the file, not grown by doubling.
+    if (b.size() > 1000) {
+      EXPECT_LT(back.capacity(), b.size() + b.size() / 4);
+    }
+  }
+  std::filesystem::remove(path);
+  EXPECT_THROW(read_file(path.string()), CheckFailure);
+}
 
 TEST(Prng, SplitmixIsDeterministicAndMixing) {
   EXPECT_EQ(splitmix64(1), splitmix64(1));
